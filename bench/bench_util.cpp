@@ -27,7 +27,7 @@ timingCell(const CompileResult &result)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3fs", result.totalSeconds);
     std::string cell = buf;
-    if (result.verifyRan) {
+    if (result.verifyRan()) {
         cell += result.verified() ? " [verified]" : " [UNVERIFIED]";
     }
     return cell;

@@ -223,6 +223,32 @@ computeDagMetrics(const DependencyDag &dag)
     m.parallelism = m.depth > 0 ? static_cast<double>(m.gates) /
                                       static_cast<double>(m.depth)
                                 : 0.0;
+
+    // Layers are visited in order, so each wire's first/last occupied
+    // layer and its count of distinct occupied layers (commuting
+    // gates on one wire may share a layer) fall out in one sweep.
+    const Circuit &c = dag.circuit();
+    std::vector<size_t> first(c.numQubits(), kNoGate);
+    std::vector<size_t> last(c.numQubits(), 0);
+    std::vector<size_t> occupied(c.numQubits(), 0);
+    for (size_t t = 0; t < dag.depth(); ++t) {
+        for (size_t i : dag.layer(t)) {
+            if (c[i].kind() == GateKind::Barrier)
+                continue;
+            for (Qubit q : c[i].qubits()) {
+                if (first[q] == kNoGate)
+                    first[q] = t;
+                else if (last[q] == t)
+                    continue;
+                last[q] = t;
+                ++occupied[q];
+            }
+        }
+    }
+    for (Qubit q = 0; q < c.numQubits(); ++q) {
+        if (first[q] != kNoGate)
+            m.idleWireLayers += last[q] - first[q] + 1 - occupied[q];
+    }
     return m;
 }
 

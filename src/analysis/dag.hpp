@@ -21,13 +21,13 @@
  * `ctest -L analysis` checks against the QMDD oracle).
  *
  * Barriers and measurements fence: they are treated as commuting with
- * nothing, and a barrier acts on every wire of the register (matching
- * opt::scheduleAsap's full-layer fence semantics).
+ * nothing, and a barrier acts on every wire of the register, so it
+ * takes a layer of its own.
  *
  * The DAG also carries the scheduling view derived from longest paths:
  * ASAP layers, depth (critical-path length), layer widths, and one
- * explicit critical path. This is the substrate the lint rules, the
- * `--analyze` metrics, and a future lookahead router share.
+ * explicit critical path. This is the one depth qsyn reports: compile
+ * metrics, `qsync --schedule` and `qsync --analyze` all read it.
  */
 
 #pragma once
@@ -154,6 +154,11 @@ struct DagMetrics
     size_t criticalGates = 0;  ///< gates on one critical path (== depth)
     size_t maxLayerWidth = 0;  ///< widest concurrent layer
     double parallelism = 0.0;  ///< gates / depth (average layer width)
+    /** Summed over wires: the ASAP layers between a wire's first and
+     *  last gate in which it has no gate (barriers fence but do not
+     *  occupy) — the decoherence-exposure proxy `qsync --schedule`
+     *  prints. */
+    size_t idleWireLayers = 0;
 };
 
 /** Compute the metric summary of a DAG in one pass. */

@@ -1,7 +1,5 @@
 #include "analysis/dataflow.hpp"
 
-#include <algorithm>
-
 namespace qsyn::analysis {
 
 namespace {
@@ -40,21 +38,6 @@ DataflowAnalysis::DataflowAnalysis(const DependencyDag &dag)
             w.lastUse = i;
         }
     }
-    // Idle layers: live span in layers minus layers actually occupied.
-    for (WireFacts &w : wires_) {
-        if (w.uses.empty())
-            continue;
-        size_t first_layer = dag.node(w.firstUse).asapLayer;
-        size_t last_layer = dag.node(w.lastUse).asapLayer;
-        std::vector<size_t> occupied;
-        occupied.reserve(w.uses.size());
-        for (size_t i : w.uses)
-            occupied.push_back(dag.node(i).asapLayer);
-        std::sort(occupied.begin(), occupied.end());
-        occupied.erase(std::unique(occupied.begin(), occupied.end()),
-                       occupied.end());
-        w.idleLayers = (last_layer - first_layer + 1) - occupied.size();
-    }
 }
 
 std::vector<Qubit>
@@ -76,15 +59,6 @@ DataflowAnalysis::liveAt(Qubit q, size_t layer) const
         return false;
     return layer >= dag_->node(w.firstUse).asapLayer &&
            layer <= dag_->node(w.lastUse).asapLayer;
-}
-
-size_t
-DataflowAnalysis::idleWireLayers() const
-{
-    size_t total = 0;
-    for (const WireFacts &w : wires_)
-        total += w.idleLayers;
-    return total;
 }
 
 bool

@@ -12,12 +12,11 @@
  * wire only ever used as a control still holds its initial state in
  * the computational basis, while a targeted wire does not.
  *
- * Liveness is interval-shaped (first gate .. last gate on the wire);
- * the idle-layer figure per wire is the decoherence-exposure proxy the
- * scheduler also reports. Reachability answers "can gate a influence
- * gate b" — the transitive closure question lint rules and the future
- * lookahead router ask; it is computed on demand (forward BFS) rather
- * than stored, keeping the analysis O(V+E) per query.
+ * Liveness is interval-shaped (first gate .. last gate on the wire).
+ * Reachability answers "can gate a influence gate b" — the transitive
+ * closure question lint rules and the future lookahead router ask; it
+ * is computed on demand (forward BFS) rather than stored, keeping the
+ * analysis O(V+E) per query.
  */
 
 #pragma once
@@ -40,8 +39,6 @@ struct WireFacts
     /** First / last gate touching the wire (kNoGate when unused). */
     size_t firstUse = kNoGate;
     size_t lastUse = kNoGate;
-    /** Layers the wire sits idle between its first and last gate. */
-    size_t idleLayers = 0;
     /** True when no gate touches the wire at all. */
     bool dead() const { return uses.empty(); }
 };
@@ -64,10 +61,6 @@ class DataflowAnalysis
     /** True when the wire is live (between first and last use,
      *  inclusive) at ASAP layer `layer`. */
     bool liveAt(Qubit q, size_t layer) const;
-
-    /** Total idle wire-layers across live wires (the scheduler's
-     *  decoherence-exposure proxy, derived from the DAG instead). */
-    size_t idleWireLayers() const;
 
     /**
      * True when a dependency path from gate `from` to gate `to`

@@ -273,7 +273,7 @@ encodeCachedCompile(const CachedCompile &artifact)
     w.u64(res.ddLiveNodes);
 
     w.u8(static_cast<std::uint8_t>(res.verification));
-    w.u8(res.verifyRan ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(res.verifyMode));
 
     w.f64(res.decomposeSeconds);
     w.f64(res.placeSeconds);
@@ -365,7 +365,10 @@ decodeCachedCompile(const std::vector<std::uint8_t> &bytes)
     if (verdict > static_cast<std::uint8_t>(dd::Equivalence::Inconclusive))
         malformed("bad verification verdict");
     res.verification = static_cast<dd::Equivalence>(verdict);
-    res.verifyRan = r.u8() != 0;
+    std::uint8_t mode = r.u8();
+    if (mode > static_cast<std::uint8_t>(VerifyMode::Miter))
+        malformed("bad verify mode");
+    res.verifyMode = static_cast<VerifyMode>(mode);
 
     res.decomposeSeconds = r.f64();
     res.placeSeconds = r.f64();

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 
+#include "analysis/dag.hpp"
 #include "analysis/rules.hpp"
 #include "cache/cache.hpp"
 #include "common/deadline.hpp"
@@ -26,7 +27,6 @@
 #include "frontend/qasm_writer.hpp"
 #include "core/batch.hpp"
 #include "core/report.hpp"
-#include "opt/schedule.hpp"
 
 #include <fstream>
 
@@ -85,6 +85,8 @@ parseCliArguments(const std::vector<std::string> &args)
 
     for (; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        if (parseObsFlag(args, &i, &opts.obs))
+            continue;
         if (arg == "-h" || arg == "--help") {
             opts.showHelp = true;
         } else if (arg == "--list-devices") {
@@ -161,32 +163,17 @@ parseCliArguments(const std::vector<std::string> &args)
             opts.analyze = true;
         } else if (arg == "--report") {
             opts.reportPath = next_value(arg);
-        } else if (arg == "--trace-json") {
-            opts.tracePath = next_value(arg);
-        } else if (arg == "--metrics-json") {
-            opts.metricsPath = next_value(arg);
-        } else if (arg == "--metrics-prom") {
-            opts.metricsPromPath = next_value(arg);
         } else if (arg == "--stats-interval") {
             opts.statsIntervalSeconds =
                 parseDoubleValue(arg, next_value(arg));
             if (opts.statsIntervalSeconds < 0.0)
                 throw UserError("--stats-interval must be >= 0");
-        } else if (arg == "--crash-dump") {
-            opts.crashDumpDir = next_value(arg);
         } else if (arg == "--test-crash") {
             // Hidden fault-injection flag (absent from --help): abort()
             // after the compile so the crash-dump subprocess test has a
             // deterministic crash; see --test-omit-swap-back for the
             // pattern.
             opts.testCrash = true;
-        } else if (arg == "--log-level") {
-            std::string value = next_value(arg);
-            obs::LogLevel level;
-            if (!obs::parseLogLevel(value, &level))
-                throw UserError("unknown log level '" + value +
-                                "' (quiet|info|debug|trace)");
-            opts.logLevel = level;
         } else if (arg == "--rebase") {
             std::string value = next_value(arg);
             if (value != "cz" && value != "cnot")
@@ -255,10 +242,9 @@ parseCliArguments(const std::vector<std::string> &args)
             remoteReject(opts.drawCircuits, "--draw");
             remoteReject(opts.printSchedule, "--schedule");
             remoteReject(opts.analyze, "--analyze");
-            remoteReject(!opts.tracePath.empty(), "--trace-json");
-            remoteReject(!opts.metricsPath.empty(), "--metrics-json");
-            remoteReject(!opts.metricsPromPath.empty(),
-                         "--metrics-prom");
+            // Nothing compiles locally, so there is nothing to export.
+            remoteReject(opts.obs.exportFlag() != nullptr,
+                         opts.obs.exportFlag());
             remoteReject(!opts.rebase.empty(), "--rebase");
             remoteReject(!opts.cacheDir.empty(), "--cache-dir");
             remoteReject(opts.testCrash, "--test-crash");
@@ -307,26 +293,15 @@ cliHelpText()
         "      --no-verify          skip QMDD verification\n"
         "      --verify-miter       alternating-miter verification\n"
         "      --draw               ASCII-draw input and output\n"
-        "      --schedule           print depth/parallelism analysis\n"
+        "      --schedule           print depth, parallelism, widest\n"
+        "                           layer and idle wire-layers\n"
         "      --analyze            lint the compiled circuit (dependency\n"
         "                           DAG metrics + QLxxx findings; also\n"
         "                           embedded in --report)\n"
         "      --report <file>      write a JSON compile report\n"
-        "      --trace-json <file>  write a Chrome trace-event file\n"
-        "                           (open in Perfetto / chrome://tracing)\n"
-        "      --metrics-json <file> write a metrics snapshot (counters,\n"
-        "                           gauges, QMDD table hit rates)\n"
-        "      --metrics-prom <file> write Prometheus text exposition\n"
-        "                           (qsyn_* series; scrape or node_\n"
-        "                           exporter textfile collector)\n"
         "      --stats-interval <s> while a batch runs, log progress\n"
         "                           and refresh --metrics-prom every\n"
         "                           s seconds\n"
-        "      --crash-dump <dir>   arm the flight-recorder crash\n"
-        "                           handler; a crash leaves\n"
-        "                           qsyn-crash-<pid>.json in <dir>\n"
-        "      --log-level <l>      quiet | info | debug | trace\n"
-        "                           (default: $QSYN_LOG or quiet)\n"
         "      --rebase <basis>     cz | cnot two-qubit output basis\n"
         "      --cache-dir <dir>    persistent compile cache: identical\n"
         "                           (circuit, device, options) compiles\n"
@@ -348,37 +323,388 @@ cliHelpText()
         "      --quiet              suppress the statistics report\n"
         "      --no-emit            suppress QASM output\n"
         "      --list-devices       print the device library and exit\n"
-        "  -h, --help               this text\n";
+        "  -h, --help               this text\n"
+        "\n" +
+        std::string(obsHelpText());
+}
+
+const char *
+ObsFlags::exportFlag() const
+{
+    if (!tracePath.empty())
+        return "--trace-json";
+    if (!metricsPath.empty())
+        return "--metrics-json";
+    if (!metricsPromPath.empty())
+        return "--metrics-prom";
+    return nullptr;
+}
+
+bool
+parseObsFlag(const std::vector<std::string> &args, size_t *i,
+             ObsFlags *flags)
+{
+    const std::string &arg = args[*i];
+    std::string *path = arg == "--trace-json"     ? &flags->tracePath
+                        : arg == "--metrics-json" ? &flags->metricsPath
+                        : arg == "--metrics-prom" ? &flags->metricsPromPath
+                        : arg == "--crash-dump"   ? &flags->crashDumpDir
+                                                  : nullptr;
+    if (path == nullptr && arg != "--log-level")
+        return false;
+    if (*i + 1 >= args.size())
+        throw UserError("missing value for " + arg);
+    const std::string &value = args[++*i];
+    if (path != nullptr) {
+        *path = value;
+        return true;
+    }
+    obs::LogLevel level;
+    if (!obs::parseLogLevel(value, &level))
+        throw UserError("unknown log level '" + value +
+                        "' (quiet|info|debug|trace)");
+    flags->logLevel = level;
+    return true;
+}
+
+const char *
+obsHelpText()
+{
+    return "observability:\n"
+           "      --trace-json <file>  write a Chrome trace-event file\n"
+           "                           (open in Perfetto / chrome://tracing)\n"
+           "      --metrics-json <file> write a metrics snapshot (counters,\n"
+           "                           gauges, QMDD table hit rates)\n"
+           "      --metrics-prom <file> write Prometheus text exposition\n"
+           "                           (qsyn_* series; scrape or node_\n"
+           "                           exporter textfile collector)\n"
+           "      --crash-dump <dir>   arm the flight-recorder crash\n"
+           "                           handler; a crash leaves\n"
+           "                           qsyn-crash-<pid>.json in <dir>\n"
+           "      --log-level <l>      quiet | info | debug | trace\n"
+           "                           (default: $QSYN_LOG or quiet)\n";
+}
+
+ObsSession::ObsSession(ObsFlags flags, const char *threadName,
+                       bool alwaysSink)
+    : flags_(std::move(flags)),
+      installed_(alwaysSink || flags_.exportFlag() != nullptr)
+{
+    if (flags_.logLevel)
+        obs::setLogLevel(*flags_.logLevel);
+    // The flight recorder is always on for tool runs (one relaxed
+    // store per span event); --crash-dump additionally arms the signal
+    // handler that turns the ring into qsyn-crash-<pid>.json.
+    obs::flight::setRecording(true);
+    if (!flags_.crashDumpDir.empty()) {
+        obs::flight::CrashConfig crash_config;
+        crash_config.dir = flags_.crashDumpDir;
+        obs::flight::installCrashHandler(crash_config);
+    }
+    if (installed_)
+        obs::installSink(&sink_);
+    obs::nameCurrentThread(threadName);
+}
+
+ObsSession::~ObsSession()
+{
+    if (installed_)
+        obs::installSink(nullptr);
+}
+
+void
+ObsSession::writeFiles(std::ostream &err)
+{
+    if (!flags_.tracePath.empty()) {
+        std::ofstream trace(flags_.tracePath);
+        if (!trace)
+            throw UserError("cannot write trace '" + flags_.tracePath +
+                            "'");
+        trace << sink_.traceJson();
+        err << "wrote " << flags_.tracePath << "\n";
+    }
+    if (!flags_.metricsPath.empty()) {
+        std::ofstream metrics(flags_.metricsPath);
+        if (!metrics)
+            throw UserError("cannot write metrics '" +
+                            flags_.metricsPath + "'");
+        metrics << sink_.metricsJson();
+        err << "wrote " << flags_.metricsPath << "\n";
+    }
+    if (!flags_.metricsPromPath.empty()) {
+        std::string prom_error;
+        if (!obs::writePrometheusFile(sink_.metrics(),
+                                      flags_.metricsPromPath, &prom_error))
+            throw UserError("cannot write metrics: " + prom_error);
+        err << "wrote " << flags_.metricsPromPath << "\n";
+    }
 }
 
 namespace {
 
-/** Installs a Sink for the run when any observability output was
- *  requested; uninstalls on scope exit (exceptions included). */
-class SinkInstallation
+Device
+loadTarget(const CliOptions &options)
 {
-  public:
-    explicit SinkInstallation(bool enable) : installed_(enable)
-    {
-        if (installed_)
-            obs::installSink(&sink_);
+    if (!options.deviceFile.empty())
+        return loadDeviceFile(options.deviceFile);
+    if (options.deviceName == "simulator")
+        return Device::simulator(options.simulatorQubits);
+    return builtinDevice(options.deviceName);
+}
+
+void
+printCacheStats(const CliOptions &options,
+                const cache::CompileCache *compile_cache,
+                std::ostream &err)
+{
+    if (compile_cache == nullptr || !options.printStats)
+        return;
+    cache::CacheStats cs = compile_cache->stats();
+    if (cs.hits + cs.misses == 0)
+        return;
+    err << "cache:             " << cs.hits << " hit(s), " << cs.misses
+        << " miss(es) (" << cs.diskHits << " from disk, "
+        << cs.singleFlightShared << " shared in flight)";
+    if (!options.cacheDir.empty()) {
+        err << ", " << cs.diskEntries << " entr"
+            << (cs.diskEntries == 1 ? "y" : "ies") << " / "
+            << cs.diskBytes << " bytes on disk, " << cs.diskEvictions
+            << " evicted";
     }
-    ~SinkInstallation()
-    {
-        if (installed_)
-            obs::installSink(nullptr);
+    err << "\n";
+}
+
+/** The circuit qsync emits: the compiled one in the --rebase basis. */
+Circuit
+emittedCircuit(const CliOptions &options, const Circuit &compiled)
+{
+    if (options.rebase == "cz")
+        return decompose::rebaseToCz(compiled);
+    if (options.rebase == "cnot")
+        return decompose::rebaseToCnot(compiled);
+    return compiled;
+}
+
+/** --verify-miter cannot project ancillas; say so when the full check
+ *  ran in its place. */
+void
+noteMiterFallback(const CliOptions &options, const std::string &inputPath,
+                  const CompileResult &result, std::ostream &err)
+{
+    if (options.compile.verify == VerifyMode::Miter &&
+        result.verifyMode == VerifyMode::Full)
+        err << "note: " << inputPath
+            << " has ancillas; --verify-miter ran the full check\n";
+}
+
+/** Batch mode: one Compiler per input on a worker pool, results
+ *  reported and emitted strictly in input order. */
+int
+runBatch(const CliOptions &options, const Device &device,
+         cache::CompileCache *compile_cache, std::ostream &out,
+         std::ostream &err)
+{
+    BatchCompiler batch(device, options.compile);
+    batch.setShareManager(options.shareManager);
+    batch.setJobDeadline(options.deadlineSeconds);
+    batch.setCache(compile_cache);
+    batch.setStatsInterval(options.statsIntervalSeconds,
+                           options.obs.metricsPromPath);
+    std::vector<BatchItem> items =
+        batch.compileFiles(options.inputs, options.jobs);
+    const BatchSummary &sum = batch.summary();
+    for (const BatchItem &item : items) {
+        if (item.ok)
+            noteMiterFallback(options, item.inputPath, item.result, err);
+    }
+    if (options.printStats) {
+        err << "device:            " << device.summary() << "\n";
+        for (const BatchItem &item : items) {
+            if (item.ok) {
+                err << item.inputPath << ": T "
+                    << item.result.optimizedM.tCount << ", gates "
+                    << item.result.optimizedM.gates << ", cost "
+                    << item.result.optimizedM.cost << " ("
+                    << item.result.percentCostDecrease()
+                    << "% decrease), " << item.seconds << " s\n";
+            } else {
+                err << item.inputPath << ": error: " << item.error
+                    << "\n";
+            }
+        }
+        err << "batch:             " << sum.succeeded << "/"
+            << sum.circuits << " ok on " << sum.jobs << " worker(s), "
+            << sum.wallSeconds << " s wall (" << sum.sumSeconds
+            << " s summed)\n";
+    }
+    printCacheStats(options, compile_cache, err);
+    if (options.emitQasm) {
+        for (const BatchItem &item : items) {
+            if (!item.ok)
+                continue;
+            frontend::QasmWriterOptions wopts;
+            wopts.headerComment = "qsyn: " + item.inputPath +
+                                  " mapped to " + device.name();
+            out << frontend::writeQasm(
+                emittedCircuit(options, item.result.optimized), wopts);
+        }
+    }
+    batch.publishMetrics();
+    if (sum.failed == 0)
+        return 0;
+    for (const BatchItem &item : items)
+        if (item.internalError)
+            return 2;
+    return 1;
+}
+
+int
+runSingle(const CliOptions &options, const Device &device,
+          cache::CompileCache *compile_cache, std::ostream &out,
+          std::ostream &err)
+{
+    const std::string &inputPath = options.inputs.front();
+    Circuit input = [&]() -> Circuit {
+        if (endsWith(toLower(inputPath), ".pla")) {
+            // Classical path of Fig. 2: ESOP front end.
+            return esop::synthesizePla(frontend::loadPlaFile(inputPath));
+        }
+        return frontend::loadCircuitFile(inputPath);
+    }();
+
+    CompileOptions copts = options.compile;
+    // Per-pass cost deltas cost a cost-model scan per pass; pay for
+    // them whenever something shows them (the --report pass table,
+    // the debug pass listing). An installed sink turns them on anyway.
+    if (!options.reportPath.empty() ||
+        obs::logEnabled(obs::LogLevel::Debug))
+        copts.optimizer.collectPassStats = true;
+    Compiler compiler(device, copts);
+    deadline::Scope compile_deadline(options.deadlineSeconds);
+    // Single-input compiles only consult the cache when it can
+    // persist across runs; a process-local tier would never hit.
+    std::shared_ptr<const CachedCompile> artifact = compiler.compileCached(
+        input, options.cacheDir.empty() ? nullptr : compile_cache);
+    const CompileResult &result = artifact->result;
+
+    if (options.testCrash) {
+        // Fault injection for the crash-dump subprocess test: the
+        // ring now holds the compile's span events, so the dump
+        // has real content to assert on.
+        std::abort();
+    }
+    noteMiterFallback(options, inputPath, result, err);
+
+    if (obs::logEnabled(obs::LogLevel::Debug) &&
+        !result.optReport.passes.empty()) {
+        err << "optimizer passes (" << result.optReport.rounds
+            << " rounds):\n";
+        for (const opt::PassReport &p : result.optReport.passes) {
+            err << "  " << p.name << ": " << p.invocations
+                << " invocations, " << p.changedRounds << " effective, "
+                << p.gatesRemoved << " gates removed, cost delta "
+                << p.costDelta << "\n";
+        }
     }
 
-    SinkInstallation(const SinkInstallation &) = delete;
-    SinkInstallation &operator=(const SinkInstallation &) = delete;
-
-    bool installed() const { return installed_; }
-    obs::Sink &sink() { return sink_; }
-
-  private:
-    obs::Sink sink_;
-    bool installed_;
-};
+    if (options.printStats) {
+        err << "device:            " << device.summary() << "\n";
+        err << "tech-independent:  T " << result.techIndependent.tCount
+            << ", gates " << result.techIndependent.gates << ", cost "
+            << result.techIndependent.cost << "\n";
+        err << "mapped unopt:      T " << result.unoptimized.tCount
+            << ", gates " << result.unoptimized.gates << ", cost "
+            << result.unoptimized.cost << "\n";
+        err << "mapped optimized:  T " << result.optimizedM.tCount
+            << ", gates " << result.optimizedM.gates << ", cost "
+            << result.optimizedM.cost << " ("
+            << result.percentCostDecrease() << "% decrease)\n";
+        err << "routing:           "
+            << route::routerName(options.compile.routing.router) << ": "
+            << result.routeStats.nativeCnots << " native, "
+            << result.routeStats.reversedCnots << " reversed, "
+            << result.routeStats.reroutedCnots << " rerouted CNOTs, "
+            << result.routeStats.swapsInserted << " swaps\n";
+        if (result.verifyRan()) {
+            err << "verification:      "
+                << dd::equivalenceName(result.verification) << "\n";
+        }
+        err << "time:              " << result.totalSeconds << " s\n";
+    }
+    printCacheStats(options, compile_cache, err);
+    if (options.drawCircuits) {
+        frontend::DrawOptions dopts;
+        dopts.maxColumns = 40;
+        err << "\n--- input ---\n" << frontend::drawCircuit(input, dopts);
+        err << "\n--- compiled ---\n"
+            << frontend::drawCircuit(result.optimized, dopts) << "\n";
+    }
+    if (options.printSchedule) {
+        analysis::DagMetrics dm = analysis::computeDagMetrics(
+            analysis::DependencyDag(result.optimized));
+        err << "schedule:          depth " << dm.depth
+            << ", avg parallelism " << dm.parallelism
+            << ", widest layer " << dm.maxLayerWidth
+            << ", idle wire-layers " << dm.idleWireLayers << "\n";
+    }
+    std::optional<analysis::Diagnostics> diagnostics;
+    if (options.analyze) {
+        analysis::LintOptions lopts;
+        lopts.device = &device;
+        lopts.ancillas = result.ancillas;
+        diagnostics =
+            analysis::analyzeCircuit(result.optimized, inputPath, lopts);
+        const analysis::DagMetrics &dm = diagnostics->metrics;
+        err << "analysis:          depth " << dm.depth
+            << ", critical gates " << dm.criticalGates << ", dag edges "
+            << dm.edges << ", parallelism " << dm.parallelism << "\n";
+        for (const analysis::Finding &f : diagnostics->findings)
+            err << findingToString(*diagnostics, f) << "\n";
+        err << "analysis:          "
+            << diagnostics->countAtLeast(analysis::Severity::Error)
+            << " error(s), "
+            << (diagnostics->countAtLeast(analysis::Severity::Warning) -
+                diagnostics->countAtLeast(analysis::Severity::Error))
+            << " warning(s)\n";
+        if (obs::Sink *s = obs::sink()) {
+            obs::MetricsRegistry &m = s->metrics();
+            m.addCounter("analysis.runs", 1.0);
+            m.addCounter("analysis.findings",
+                         static_cast<double>(diagnostics->findings.size()));
+            m.addCounter("analysis.errors",
+                         static_cast<double>(diagnostics->countAtLeast(
+                             analysis::Severity::Error)));
+            m.addCounter("analysis.dag_edges",
+                         static_cast<double>(dm.edges));
+            m.addCounter("analysis.depth", static_cast<double>(dm.depth));
+        }
+    }
+    if (!options.reportPath.empty()) {
+        std::ofstream report(options.reportPath);
+        if (!report)
+            throw UserError("cannot write report '" + options.reportPath +
+                            "'");
+        ReportOptions ropts = options.reportDeterministic
+                                  ? ReportOptions::deterministic()
+                                  : ReportOptions{};
+        if (diagnostics)
+            ropts.analysis = &*diagnostics;
+        report << compileReportJson(result, device, ropts);
+        err << "wrote " << options.reportPath << "\n";
+    }
+    if (options.emitQasm) {
+        Circuit emitted = emittedCircuit(options, result.optimized);
+        frontend::QasmWriterOptions wopts;
+        wopts.headerComment = "qsyn: mapped to " + device.name();
+        if (options.outputPath.empty()) {
+            out << frontend::writeQasm(emitted, wopts);
+        } else {
+            frontend::writeQasmFile(emitted, options.outputPath, wopts);
+            err << "wrote " << options.outputPath << "\n";
+        }
+    }
+    return 0;
+}
 
 } // namespace
 
@@ -395,35 +721,12 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
         out << "simulator (any size; no coupling restrictions)\n";
         return 0;
     }
-    if (options.logLevel)
-        obs::setLogLevel(*options.logLevel);
-    // The flight recorder is always on for tool runs (one relaxed
-    // store per span event); --crash-dump additionally arms the signal
-    // handler that turns the ring into qsyn-crash-<pid>.json.
-    obs::flight::setRecording(true);
-    if (!options.crashDumpDir.empty()) {
-        obs::flight::CrashConfig crash_config;
-        crash_config.dir = options.crashDumpDir;
-        obs::flight::installCrashHandler(crash_config);
-    }
-    SinkInstallation obs_install(!options.tracePath.empty() ||
-                                 !options.metricsPath.empty() ||
-                                 !options.metricsPromPath.empty() ||
-                                 options.statsIntervalSeconds > 0.0);
-    obs::nameCurrentThread("qsync-main");
-
+    ObsSession session(options.obs, "qsync-main");
     if (!options.remoteSocket.empty())
         return runRemote(options, out, err);
 
     try {
-        Device device = [&]() -> Device {
-            if (!options.deviceFile.empty())
-                return loadDeviceFile(options.deviceFile);
-            if (options.deviceName == "simulator")
-                return Device::simulator(options.simulatorQubits);
-            return builtinDevice(options.deviceName);
-        }();
-
+        Device device = loadTarget(options);
         // The compile cache: always holds the in-process tier for
         // batch dedup; --cache-dir adds the persistent store.
         std::unique_ptr<cache::CompileCache> compile_cache;
@@ -432,298 +735,17 @@ runCli(const CliOptions &options, std::ostream &out, std::ostream &err)
             ccfg.dir = options.cacheDir;
             ccfg.maxDiskBytes =
                 static_cast<std::uint64_t>(options.cacheMaxMb) << 20;
-            compile_cache =
-                std::make_unique<cache::CompileCache>(ccfg);
+            compile_cache = std::make_unique<cache::CompileCache>(ccfg);
         }
-        auto printCacheStats = [&]() {
-            if (compile_cache == nullptr || !options.printStats)
-                return;
-            cache::CacheStats cs = compile_cache->stats();
-            if (cs.hits + cs.misses == 0)
-                return;
-            err << "cache:             " << cs.hits << " hit(s), "
-                << cs.misses << " miss(es) (" << cs.diskHits
-                << " from disk, " << cs.singleFlightShared
-                << " shared in flight)";
-            if (!options.cacheDir.empty()) {
-                err << ", " << cs.diskEntries << " entr"
-                    << (cs.diskEntries == 1 ? "y" : "ies") << " / "
-                    << cs.diskBytes << " bytes on disk, "
-                    << cs.diskEvictions << " evicted";
-            }
-            err << "\n";
-        };
-
-        if (options.inputs.size() > 1) {
-            // Batch mode: one Compiler per input on a worker pool,
-            // results reported and emitted strictly in input order.
-            BatchCompiler batch(device, options.compile);
-            batch.setShareManager(options.shareManager);
-            batch.setJobDeadline(options.deadlineSeconds);
-            batch.setCache(compile_cache.get());
-            batch.setStatsInterval(options.statsIntervalSeconds,
-                                   options.metricsPromPath);
-            std::vector<BatchItem> items =
-                batch.compileFiles(options.inputs, options.jobs);
-            const BatchSummary &sum = batch.summary();
-            if (options.printStats) {
-                err << "device:            " << device.summary() << "\n";
-                for (const BatchItem &item : items) {
-                    if (item.ok) {
-                        err << item.inputPath << ": T "
-                            << item.result.optimizedM.tCount << ", gates "
-                            << item.result.optimizedM.gates << ", cost "
-                            << item.result.optimizedM.cost << " ("
-                            << item.result.percentCostDecrease()
-                            << "% decrease), " << item.seconds << " s\n";
-                    } else {
-                        err << item.inputPath << ": error: " << item.error
-                            << "\n";
-                    }
-                }
-                err << "batch:             " << sum.succeeded << "/"
-                    << sum.circuits << " ok on " << sum.jobs
-                    << " worker(s), " << sum.wallSeconds << " s wall ("
-                    << sum.sumSeconds << " s summed)\n";
-            }
-            printCacheStats();
-            if (options.emitQasm) {
-                for (const BatchItem &item : items) {
-                    if (!item.ok)
-                        continue;
-                    Circuit emitted = item.result.optimized;
-                    if (options.rebase == "cz")
-                        emitted = decompose::rebaseToCz(emitted);
-                    else if (options.rebase == "cnot")
-                        emitted = decompose::rebaseToCnot(emitted);
-                    frontend::QasmWriterOptions wopts;
-                    wopts.headerComment = "qsyn: " + item.inputPath +
-                                          " mapped to " + device.name();
-                    out << frontend::writeQasm(emitted, wopts);
-                }
-            }
-            batch.publishMetrics();
-            if (compile_cache != nullptr)
-                compile_cache->publishMetrics();
-            if (!options.tracePath.empty()) {
-                std::ofstream trace(options.tracePath);
-                if (!trace)
-                    throw UserError("cannot write trace '" +
-                                    options.tracePath + "'");
-                trace << obs_install.sink().traceJson();
-                err << "wrote " << options.tracePath << "\n";
-            }
-            if (!options.metricsPath.empty()) {
-                std::ofstream metrics(options.metricsPath);
-                if (!metrics)
-                    throw UserError("cannot write metrics '" +
-                                    options.metricsPath + "'");
-                metrics << obs_install.sink().metricsJson();
-                err << "wrote " << options.metricsPath << "\n";
-            }
-            if (!options.metricsPromPath.empty()) {
-                std::string prom_error;
-                if (!obs::writePrometheusFile(
-                        obs_install.sink().metrics(),
-                        options.metricsPromPath, &prom_error))
-                    throw UserError("cannot write metrics: " +
-                                    prom_error);
-                err << "wrote " << options.metricsPromPath << "\n";
-            }
-            if (sum.failed == 0)
-                return 0;
-            for (const BatchItem &item : items)
-                if (item.internalError)
-                    return 2;
-            return 1;
-        }
-
-        const std::string &inputPath = options.inputs.front();
-        Circuit input = [&]() -> Circuit {
-            if (endsWith(toLower(inputPath), ".pla")) {
-                // Classical path of Fig. 2: ESOP front end.
-                return esop::synthesizePla(
-                    frontend::loadPlaFile(inputPath));
-            }
-            return frontend::loadCircuitFile(inputPath);
-        }();
-
-        CompileOptions copts = options.compile;
-        if (obs::logEnabled(obs::LogLevel::Debug))
-            copts.optimizer.collectPassStats = true;
-        // Deterministic reports must not depend on whether an obs sink
-        // happens to be installed (a sink flips the optimizer into
-        // detailed pass stats); force the flag so the pass table is
-        // byte-identical to what a qsynd daemon renders.
-        if (options.reportDeterministic)
-            copts.optimizer.collectPassStats = true;
-        Compiler compiler(device, copts);
-        deadline::Scope compile_deadline(options.deadlineSeconds);
-        // Single-input compiles only consult the cache when it can
-        // persist across runs; a process-local tier would never hit.
-        std::shared_ptr<const CachedCompile> artifact =
-            compiler.compileCached(input,
-                                   options.cacheDir.empty()
-                                       ? nullptr
-                                       : compile_cache.get());
-        const CompileResult &result = artifact->result;
-
-        if (options.testCrash) {
-            // Fault injection for the crash-dump subprocess test: the
-            // ring now holds the compile's span events, so the dump
-            // has real content to assert on.
-            std::abort();
-        }
-
-        if (obs::logEnabled(obs::LogLevel::Debug) &&
-            !result.optReport.passes.empty()) {
-            err << "optimizer passes (" << result.optReport.rounds
-                << " rounds):\n";
-            for (const opt::PassReport &p : result.optReport.passes) {
-                err << "  " << p.name << ": " << p.invocations
-                    << " invocations, " << p.changedRounds
-                    << " effective, " << p.gatesRemoved
-                    << " gates removed, cost delta " << p.costDelta
-                    << "\n";
-            }
-        }
-
-        if (options.printStats) {
-            err << "device:            " << device.summary() << "\n";
-            err << "tech-independent:  T " << result.techIndependent.tCount
-                << ", gates " << result.techIndependent.gates
-                << ", cost " << result.techIndependent.cost << "\n";
-            err << "mapped unopt:      T " << result.unoptimized.tCount
-                << ", gates " << result.unoptimized.gates << ", cost "
-                << result.unoptimized.cost << "\n";
-            err << "mapped optimized:  T " << result.optimizedM.tCount
-                << ", gates " << result.optimizedM.gates << ", cost "
-                << result.optimizedM.cost << " ("
-                << result.percentCostDecrease() << "% decrease)\n";
-            err << "routing:           "
-                << route::routerName(options.compile.routing.router)
-                << ": " << result.routeStats.nativeCnots << " native, "
-                << result.routeStats.reversedCnots << " reversed, "
-                << result.routeStats.reroutedCnots
-                << " rerouted CNOTs, " << result.routeStats.swapsInserted
-                << " swaps\n";
-            if (result.verifyRan) {
-                err << "verification:      "
-                    << dd::equivalenceName(result.verification) << "\n";
-            }
-            err << "time:              " << result.totalSeconds << " s\n";
-        }
-        printCacheStats();
-        if (options.drawCircuits) {
-            frontend::DrawOptions dopts;
-            dopts.maxColumns = 40;
-            err << "\n--- input ---\n"
-                << frontend::drawCircuit(input, dopts);
-            err << "\n--- compiled ---\n"
-                << frontend::drawCircuit(result.optimized, dopts)
-                << "\n";
-        }
-        if (options.printSchedule) {
-            opt::Schedule schedule = opt::scheduleAsap(result.optimized);
-            opt::ScheduleStats sstats =
-                computeScheduleStats(result.optimized, schedule);
-            err << "schedule:          depth " << sstats.depth
-                << ", avg parallelism " << sstats.parallelism
-                << ", widest layer " << sstats.maxLayerWidth
-                << ", idle wire-layers " << sstats.idleWireLayers
-                << "\n";
-        }
-        std::optional<analysis::Diagnostics> diagnostics;
-        if (options.analyze) {
-            analysis::LintOptions lopts;
-            lopts.device = &device;
-            lopts.ancillas = result.ancillas;
-            diagnostics = analysis::analyzeCircuit(
-                result.optimized, options.inputs.front(), lopts);
-            const analysis::DagMetrics &dm = diagnostics->metrics;
-            err << "analysis:          depth " << dm.depth
-                << ", critical gates " << dm.criticalGates
-                << ", dag edges " << dm.edges << ", parallelism "
-                << dm.parallelism << "\n";
-            for (const analysis::Finding &f : diagnostics->findings)
-                err << findingToString(*diagnostics, f) << "\n";
-            err << "analysis:          "
-                << diagnostics->countAtLeast(analysis::Severity::Error)
-                << " error(s), "
-                << (diagnostics->countAtLeast(analysis::Severity::Warning) -
-                    diagnostics->countAtLeast(analysis::Severity::Error))
-                << " warning(s)\n";
-            if (obs::Sink *s = obs::sink()) {
-                obs::MetricsRegistry &m = s->metrics();
-                m.addCounter("analysis.runs", 1.0);
-                m.addCounter(
-                    "analysis.findings",
-                    static_cast<double>(diagnostics->findings.size()));
-                m.addCounter("analysis.errors",
-                             static_cast<double>(diagnostics->countAtLeast(
-                                 analysis::Severity::Error)));
-                m.addCounter("analysis.dag_edges",
-                             static_cast<double>(dm.edges));
-                m.addCounter("analysis.depth",
-                             static_cast<double>(dm.depth));
-            }
-        }
-        if (!options.reportPath.empty()) {
-            std::ofstream report(options.reportPath);
-            if (!report)
-                throw UserError("cannot write report '" +
-                                options.reportPath + "'");
-            ReportOptions ropts = options.reportDeterministic
-                                      ? ReportOptions::deterministic()
-                                      : ReportOptions{};
-            if (diagnostics)
-                ropts.analysis = &*diagnostics;
-            report << compileReportJson(result, device, ropts);
-            err << "wrote " << options.reportPath << "\n";
-        }
-        Circuit emitted = result.optimized;
-        if (options.rebase == "cz")
-            emitted = decompose::rebaseToCz(emitted);
-        else if (options.rebase == "cnot")
-            emitted = decompose::rebaseToCnot(emitted);
-        if (options.emitQasm) {
-            frontend::QasmWriterOptions wopts;
-            wopts.headerComment = "qsyn: mapped to " + device.name();
-            if (options.outputPath.empty()) {
-                out << frontend::writeQasm(emitted, wopts);
-            } else {
-                frontend::writeQasmFile(emitted, options.outputPath,
-                                        wopts);
-                err << "wrote " << options.outputPath << "\n";
-            }
-        }
+        int status = options.inputs.size() > 1
+                         ? runBatch(options, device, compile_cache.get(),
+                                    out, err)
+                         : runSingle(options, device, compile_cache.get(),
+                                     out, err);
         if (compile_cache != nullptr)
             compile_cache->publishMetrics();
-        if (!options.tracePath.empty()) {
-            std::ofstream trace(options.tracePath);
-            if (!trace)
-                throw UserError("cannot write trace '" +
-                                options.tracePath + "'");
-            trace << obs_install.sink().traceJson();
-            err << "wrote " << options.tracePath << "\n";
-        }
-        if (!options.metricsPath.empty()) {
-            std::ofstream metrics(options.metricsPath);
-            if (!metrics)
-                throw UserError("cannot write metrics '" +
-                                options.metricsPath + "'");
-            metrics << obs_install.sink().metricsJson();
-            err << "wrote " << options.metricsPath << "\n";
-        }
-        if (!options.metricsPromPath.empty()) {
-            std::string prom_error;
-            if (!obs::writePrometheusFile(obs_install.sink().metrics(),
-                                          options.metricsPromPath,
-                                          &prom_error))
-                throw UserError("cannot write metrics: " + prom_error);
-            err << "wrote " << options.metricsPromPath << "\n";
-        }
-        return 0;
+        session.writeFiles(err);
+        return status;
     } catch (const UserError &e) {
         err << "error: " << e.what() << "\n";
         return 1;

@@ -2,12 +2,15 @@
  * @file
  * Command-line interface of the qsync compiler driver: argument
  * grammar, parsed options, and help text. Kept in the library (rather
- * than the tool's main.cpp) so it is unit-testable.
+ * than the tool's main.cpp) so it is unit-testable. Also home of what
+ * every qsyn tool shares on its command line: the strict numeric
+ * value parsers and the observability flags with their session.
  */
 
 #pragma once
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,70 @@
 #include "obs/obs.hpp"
 
 namespace qsyn::cli {
+
+/** The observability flags qsync, qverify, qsim and qsynd share. */
+struct ObsFlags
+{
+    /** --trace-json: Chrome trace-event JSON written at exit (empty =
+     *  none); loadable in Perfetto / chrome://tracing. */
+    std::string tracePath;
+    /** --metrics-json: metrics snapshot JSON written at exit. */
+    std::string metricsPath;
+    /** --metrics-prom: Prometheus text exposition. */
+    std::string metricsPromPath;
+    /** --crash-dump: arm the flight-recorder crash handler; a crashing
+     *  run dumps `qsyn-crash-<pid>.json` into this directory. */
+    std::string crashDumpDir;
+    /** --log-level override; unset = QSYN_LOG env (default quiet). */
+    std::optional<obs::LogLevel> logLevel;
+
+    /** The first export flag given, in the order --trace-json,
+     *  --metrics-json, --metrics-prom; null when none was. */
+    const char *exportFlag() const;
+};
+
+/**
+ * When `args[*i]` is one of the shared observability flags, store its
+ * value in `*flags`, leave `*i` on the value, and return true; return
+ * false for any other argument. Throws UserError on a missing value or
+ * an unknown log level.
+ */
+bool parseObsFlag(const std::vector<std::string> &args, size_t *i,
+                  ObsFlags *flags);
+
+/** The --help lines of the shared observability flags. */
+const char *obsHelpText();
+
+/**
+ * RAII: one tool run's observability. The constructor sets the log
+ * level, starts the flight recorder, arms the crash handler when
+ * --crash-dump was given, installs a sink when an export was requested
+ * (or `alwaysSink`: the daemon serves its metrics live), and names the
+ * calling thread. The destructor uninstalls the sink.
+ */
+class ObsSession
+{
+  public:
+    ObsSession(ObsFlags flags, const char *threadName,
+               bool alwaysSink = false);
+    ~ObsSession();
+
+    ObsSession(const ObsSession &) = delete;
+    ObsSession &operator=(const ObsSession &) = delete;
+
+    /** The installed sink, or null when none was installed. */
+    obs::Sink *sink() { return installed_ ? &sink_ : nullptr; }
+
+    /** Write the requested export files, announcing each as
+     *  "wrote <path>" on `err`. Throws UserError when one cannot be
+     *  written. */
+    void writeFiles(std::ostream &err);
+
+  private:
+    ObsFlags flags_;
+    obs::Sink sink_;
+    bool installed_;
+};
 
 /** Fully parsed command line. */
 struct CliOptions
@@ -47,7 +114,9 @@ struct CliOptions
     bool listDevices = false;
     /** Print ASCII drawings of the input and compiled circuits. */
     bool drawCircuits = false;
-    /** Print the ASAP schedule summary of the compiled circuit. */
+    /** Print the compiled circuit's schedule summary: depth,
+     *  parallelism, widest layer and idle wire-layers of its
+     *  dependency DAG (the depth --analyze and reports give). */
     bool printSchedule = false;
     /** Run the static analyzer over the compiled circuit: DAG metrics
      *  plus lint findings to stderr, an "analysis" object in --report,
@@ -55,25 +124,15 @@ struct CliOptions
     bool analyze = false;
     /** Write a JSON compile report here (empty = none). */
     std::string reportPath;
-    /** Write a Chrome trace-event JSON file here (empty = none);
-     *  loadable in Perfetto / chrome://tracing. */
-    std::string tracePath;
-    /** Write a metrics snapshot JSON file here (empty = none). */
-    std::string metricsPath;
-    /** Write Prometheus text exposition here at exit (empty = none);
-     *  with --stats-interval the file is also rewritten periodically
-     *  while a batch runs. */
-    std::string metricsPromPath;
     /** Periodic batch stats interval, seconds (0 = off). */
     double statsIntervalSeconds = 0.0;
-    /** Arm the flight-recorder crash handler; a crashing run dumps
-     *  `qsyn-crash-<pid>.json` into this directory (empty = off). */
-    std::string crashDumpDir;
     /** Hidden fault-injection flag (--test-crash): abort() after the
      *  compile so the crash-dump path has a deterministic test. */
     bool testCrash = false;
-    /** --log-level override; unset = QSYN_LOG env (default quiet). */
-    std::optional<obs::LogLevel> logLevel;
+    /** --trace-json, --metrics-json, --metrics-prom, --crash-dump,
+     *  --log-level. With --stats-interval, --metrics-prom is also
+     *  rewritten periodically while a batch runs. */
+    ObsFlags obs;
     /** Rebase the emitted circuit's two-qubit basis: "" (keep CNOT)
      *  or "cz" (emit CZ + Hadamards, for CZ-native platforms). */
     std::string rebase;

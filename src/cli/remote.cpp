@@ -77,11 +77,8 @@ runRemote(const CliOptions &options, std::ostream &out,
                 static_cast<double>(options.simulatorQubits));
             request.object["optimize"] =
                 Json::makeBool(options.compile.optimize);
-            request.object["verify"] = Json::makeString(
-                options.compile.verify == VerifyMode::Off ? "off"
-                : options.compile.verify == VerifyMode::Miter
-                    ? "miter"
-                    : "full");
+            request.object["verify"] =
+                Json::makeString(verifyModeName(options.compile.verify));
             request.object["placement"] = Json::makeString(
                 options.compile.placement ==
                         route::PlacementStrategy::Greedy

@@ -39,6 +39,20 @@ diffStats(const dd::PackageStats &after, const dd::PackageStats &before)
 
 } // namespace
 
+const char *
+verifyModeName(VerifyMode mode)
+{
+    switch (mode) {
+      case VerifyMode::Off:
+        return "off";
+      case VerifyMode::Miter:
+        return "miter";
+      case VerifyMode::Full:
+        break;
+    }
+    return "full";
+}
+
 StageMetrics
 measure(const Circuit &circuit, const opt::CostModel &model)
 {
@@ -179,14 +193,14 @@ Compiler::compile(const Circuit &input) const
             eopts.upToGlobalPhase = options_.verifyUpToGlobalPhase;
             eopts.ancillaWires = result.ancillas;
             eopts.nodeBudget = options_.verifyNodeBudget;
-            eopts.useMiter = options_.verify == VerifyMode::Miter &&
-                             result.ancillas.empty();
+            eopts.useMiter = options_.verify == VerifyMode::Miter;
             dd::PackageStats before;
             if (shared)
                 before = package->threadStats();
             result.verification =
                 checker.check(reference, result.optimized, eopts);
-            result.verifyRan = true;
+            result.verifyMode = dd::runsMiter(eopts) ? VerifyMode::Miter
+                                                     : VerifyMode::Full;
             result.ddStats =
                 shared ? diffStats(package->threadStats(), before)
                        : package->stats();

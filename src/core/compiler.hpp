@@ -36,8 +36,13 @@ enum class VerifyMode
 {
     Off,    ///< skip formal verification
     Full,   ///< QMDD check with the configured node budget
-    Miter   ///< alternating-miter variant (no-ancilla circuits only)
+    Miter   ///< alternating-miter variant (no-ancilla circuits only;
+            ///< see dd::runsMiter)
 };
+
+/** "off", "full" or "miter": the name the report and the qsynd
+ *  protocol use. */
+const char *verifyModeName(VerifyMode mode);
 
 /** Everything configurable about one compilation. */
 struct CompileOptions
@@ -113,7 +118,10 @@ struct CompileResult
     size_t ddLiveNodes = 0;
 
     dd::Equivalence verification = dd::Equivalence::Inconclusive;
-    bool verifyRan = false;
+    /** The check that ran: Off when none did (disabled, or the input
+     *  measures), Full when a requested miter could not run because
+     *  the circuit has ancillas. */
+    VerifyMode verifyMode = VerifyMode::Off;
 
     double decomposeSeconds = 0.0;
     double placeSeconds = 0.0;
@@ -127,11 +135,14 @@ struct CompileResult
      *  resource accounting is not gated on the obs sink. */
     obs::ResourceUsage resources;
 
+    /** True when verification ran. */
+    bool verifyRan() const { return verifyMode != VerifyMode::Off; }
+
     /** True when verification ran and confirmed equivalence. */
     bool
     verified() const
     {
-        return verifyRan && dd::isEquivalent(verification);
+        return verifyRan() && dd::isEquivalent(verification);
     }
 
     /**

@@ -73,8 +73,9 @@ compileReportJson(const CompileResult &result, const Device &device,
            << successProbability(result.optimized, device) << ",\n";
     }
     os << "  \"verification\": \""
-       << (result.verifyRan ? dd::equivalenceName(result.verification)
-                            : "skipped")
+       << (result.verifyRan() ? dd::equivalenceName(result.verification)
+                              : "skipped")
+       << "\",\n  \"verify_mode\": \"" << verifyModeName(result.verifyMode)
        << "\"";
     if (options.analysis != nullptr) {
         const analysis::Diagnostics &a = *options.analysis;

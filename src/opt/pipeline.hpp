@@ -47,8 +47,9 @@ struct OptimizerOptions
     /**
      * Track the per-pass cost delta in OptimizeReport::passes. Costs a
      * cost-model evaluation (one O(gates) scan) after every pass
-     * invocation, so it is off by default and enabled by the CLI under
-     * `--log-level debug` or whenever a trace sink is installed.
+     * invocation, so it is off by default; qsync enables it for
+     * `--report` and `--log-level debug`, qsynd always, and an
+     * installed obs sink implies it.
      * Invocation and gates-removed accounting is O(1) and always on.
      */
     bool collectPassStats = false;

@@ -167,6 +167,12 @@ quickRefute(Package &pkg, const Circuit &a, const Circuit &b,
 
 } // namespace
 
+bool
+runsMiter(const EquivalenceOptions &opts)
+{
+    return opts.useMiter && opts.ancillaWires.empty();
+}
+
 Equivalence
 EquivalenceChecker::check(const Circuit &a, const Circuit &b,
                           const EquivalenceOptions &opts)
@@ -188,7 +194,7 @@ EquivalenceChecker::check(const Circuit &a, const Circuit &b,
         if (quickRefute(pkg_, a, b, opts, opts.quickRefuteSamples))
             return Equivalence::NotEquivalent;
     }
-    if (opts.useMiter && opts.ancillaWires.empty())
+    if (runsMiter(opts))
         return checkMiter(a, b, opts);
 
     Edge start = opts.ancillaWires.empty()

@@ -59,7 +59,8 @@ struct EquivalenceOptions
     std::vector<Qubit> ancillaWires;
     /** Abort with Inconclusive past this many live nodes (0 = off). */
     size_t nodeBudget = 0;
-    /** Use the alternating-miter scheme (no-ancilla case only). */
+    /** Use the alternating-miter scheme (no-ancilla case only; see
+     *  runsMiter). */
     bool useMiter = false;
     /** Tolerance for the EquivalentApprox fallback verdict. */
     double approxEps = 1e-6;
@@ -72,6 +73,11 @@ struct EquivalenceOptions
      */
     size_t quickRefuteSamples = 0;
 };
+
+/** True when EquivalenceChecker::check runs the alternating miter:
+ *  it was requested and there are no ancilla wires, which the miter
+ *  cannot project onto |0>. Otherwise the full check runs. */
+bool runsMiter(const EquivalenceOptions &opts);
 
 /** QMDD equivalence checker bound to a package. */
 class EquivalenceChecker

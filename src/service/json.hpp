@@ -1,13 +1,14 @@
 /**
  * @file
- * Minimal JSON value model + strict parser for the qsynd wire
- * protocol. This is the first place the library parses (rather than
- * emits) JSON, and it sits on an untrusted boundary, so the parser is
- * deliberately paranoid: recursion depth is capped, numbers must be
- * finite, escapes are validated, and every failure is a diagnosed
- * error, never UB. Parsing reports failure through a return value —
- * the service loop turns it into a structured `bad_request` response
- * instead of unwinding the connection thread.
+ * Minimal JSON value model + strict parser: the one JSON reader in
+ * qsyn. It decodes the qsynd wire protocol and `qsync --remote`
+ * responses, and the tests parse every exported report, trace,
+ * metrics snapshot and crash dump with it. The wire is an untrusted
+ * boundary, so the parser is deliberately paranoid: recursion depth is
+ * capped, numbers must be finite, escapes are validated, and every
+ * failure is a diagnosed error, never UB. Parsing reports failure
+ * through a return value — the service loop turns it into a structured
+ * `bad_request` response instead of unwinding the connection thread.
  *
  * Writing goes through the same obs::jsonEscape the report/metrics
  * emitters use, so both directions agree on escaping.

@@ -548,7 +548,8 @@ Server::handleCompile(const Json &request)
     // The daemon's obs sink would flip the optimizer into detailed
     // mode anyway (see opt/pipeline.cpp); setting the flag explicitly
     // keeps the report bytes independent of sink presence so they
-    // match `qsync --report-deterministic`, which does the same.
+    // match `qsync --report-deterministic`, which sets it for every
+    // report.
     options.optimizer.collectPassStats = true;
     options.optimize = request.boolOr("optimize", true);
     std::string verify = toLower(request.stringOr("verify", "full"));

@@ -122,8 +122,8 @@ TEST(Dag, BarrierFencesAllWires)
     c.add(Gate::barrier({1}));
     c.add(Gate::h(1));
     DependencyDag dag(c);
-    // The barrier fences the whole register (scheduleAsap semantics),
-    // so even the wire-0 gate precedes it.
+    // The barrier fences the whole register, so even the wire-0 gate
+    // precedes it.
     EXPECT_TRUE(dag.hasEdge(0, 1));
     EXPECT_TRUE(dag.hasEdge(1, 2));
     EXPECT_EQ(dag.depth(), 3u);
@@ -170,6 +170,87 @@ TEST(Dag, MetricsSummarizeStructure)
     EXPECT_EQ(m.criticalGates, m.depth);
     EXPECT_DOUBLE_EQ(m.parallelism, 1.5);
     EXPECT_EQ(circuitDepth(c), 2u);
+}
+
+TEST(DagMetrics, LayersHoldEveryGateOnce)
+{
+    Circuit fan(3, "fan");
+    fan.add(Gate::h(0));
+    fan.add(Gate::h(1));
+    fan.add(Gate::h(2));
+    fan.add(Gate::cnot(0, 1));
+    DependencyDag small(fan);
+    ASSERT_EQ(small.depth(), 2u);
+    EXPECT_EQ(small.layer(0).size(), 3u);
+    EXPECT_EQ(small.layer(1).size(), 1u);
+
+    // In program order (no commutation) a layer never holds two gates
+    // on one wire.
+    Rng rng(4);
+    RandomCircuitOptions opts;
+    opts.numQubits = 5;
+    opts.numGates = 60;
+    Circuit c = randomCircuit(rng, opts);
+    DependencyDag dag(c, DagOptions{false});
+    size_t total = 0;
+    for (const std::vector<size_t> &layer : dag.layers()) {
+        total += layer.size();
+        std::vector<bool> used(c.numQubits(), false);
+        for (size_t index : layer) {
+            for (Qubit q : c[index].qubits()) {
+                EXPECT_FALSE(used[q]) << "wire " << q;
+                used[q] = true;
+            }
+        }
+    }
+    EXPECT_EQ(total, c.size());
+    EXPECT_EQ(computeDagMetrics(dag).depth, dag.layers().size());
+}
+
+TEST(DagMetrics, BarrierTakesALayerButOccupiesNoWire)
+{
+    Circuit c(2, "fenced");
+    c.add(Gate::h(0));
+    c.add(Gate::barrier({0, 1}));
+    c.add(Gate::h(1)); // independent of H(0), but fenced behind it
+    DagMetrics m = computeDagMetrics(DependencyDag(c));
+    EXPECT_EQ(m.depth, 3u);
+    EXPECT_EQ(m.maxLayerWidth, 1u);
+    EXPECT_EQ(m.idleWireLayers, 0u);
+
+    // A wire waiting out a barrier layer between two gates is idle.
+    Circuit twice(1, "twice");
+    twice.add(Gate::h(0));
+    twice.add(Gate::barrier({0}));
+    twice.add(Gate::h(0));
+    EXPECT_EQ(computeDagMetrics(DependencyDag(twice)).idleWireLayers, 1u);
+}
+
+TEST(DagMetrics, IdleWireLayersAndParallelism)
+{
+    // Wire 1 waits out layers 1 and 2 while wire 0 runs H-X-H.
+    Circuit c(2, "idle");
+    c.add(Gate::h(1));
+    c.add(Gate::h(0));
+    c.add(Gate::x(0));
+    c.add(Gate::h(0));
+    c.add(Gate::cnot(0, 1));
+    DagMetrics m = computeDagMetrics(DependencyDag(c));
+    EXPECT_EQ(m.depth, 4u);
+    EXPECT_EQ(m.maxLayerWidth, 2u);
+    EXPECT_DOUBLE_EQ(m.parallelism, 1.25);
+    EXPECT_EQ(m.idleWireLayers, 2u);
+
+    // T commutes with the CNOT's control, so both sit in layer 1; a
+    // layer two gates share on a wire counts once.
+    Circuit shared(2, "shared");
+    shared.add(Gate::h(0));
+    shared.add(Gate::t(0));
+    shared.add(Gate::cnot(0, 1));
+    DagMetrics sm = computeDagMetrics(DependencyDag(shared));
+    EXPECT_EQ(sm.depth, 2u);
+    EXPECT_DOUBLE_EQ(sm.parallelism, 1.5);
+    EXPECT_EQ(sm.idleWireLayers, 0u);
 }
 
 // ----------------------------------------------------------- dataflow

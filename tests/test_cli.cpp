@@ -15,6 +15,7 @@
 #include "frontend/qasm_parser.hpp"
 #include "obs/obs.hpp"
 #include "qmdd/equivalence.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
 using namespace qsyn::cli;
@@ -29,6 +30,35 @@ writeTemp(const std::string &name, const std::string &content)
     std::ofstream out(path);
     out << content;
     return path;
+}
+
+/** Path of a checked-in sample circuit. */
+std::string
+sample(const std::string &name)
+{
+    return std::string(QSYN_DATA_DIR) + "/" + name;
+}
+
+/** Compile `input` with `flags` plus --report; returns the parsed
+ *  report and leaves stderr in `*err`. */
+service::Json
+compileReport(std::vector<std::string> flags, const std::string &input,
+              std::string *err)
+{
+    std::string path = ::testing::TempDir() + "cli_report_probe.json";
+    flags.insert(flags.end(), {"--report", path, "--no-emit", input});
+    std::ostringstream out, err_os;
+    EXPECT_EQ(runCli(parseCliArguments(flags), out, err_os), 0)
+        << err_os.str();
+    *err = err_os.str();
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    service::Json report;
+    std::string error;
+    EXPECT_TRUE(service::parseJson(text.str(), &report, &error)) << error;
+    return report;
 }
 
 } // namespace
@@ -285,6 +315,73 @@ TEST(CliRun, DrawScheduleAndReportFlags)
     std::remove(report_path.c_str());
 }
 
+TEST(CliRun, ScheduleAndAnalyzePrintOneDepth)
+{
+    std::ostringstream out, err;
+    CliOptions opts = parseCliArguments(
+        {"-d", "ibmqx5", "--schedule", "--analyze", "--no-emit",
+         "--quiet", sample("mod5_cascade.real")});
+    ASSERT_EQ(runCli(opts, out, err), 0) << err.str();
+    auto depthAfter = [&](const std::string &label) -> long {
+        size_t pos = err.str().find(label);
+        EXPECT_NE(pos, std::string::npos) << label << " in:\n"
+                                          << err.str();
+        if (pos == std::string::npos)
+            return -1;
+        return std::stol(err.str().substr(pos + label.size()));
+    };
+    long schedule = depthAfter("schedule:          depth ");
+    EXPECT_GT(schedule, 0);
+    EXPECT_EQ(schedule, depthAfter("analysis:          depth "));
+}
+
+TEST(CliRun, ReportMeasuresCostDeltaOfEveryEffectivePass)
+{
+    // No sink, no debug log: the report alone must turn on per-pass
+    // cost accounting, or cost_delta reads a placeholder 0.
+    std::string err;
+    service::Json report =
+        compileReport({"-d", "ibmqx5", "--quiet"},
+                      sample("mod5_cascade.real"), &err);
+    const service::Json *passes = report.find("optimizer_passes");
+    ASSERT_NE(passes, nullptr);
+    size_t effective = 0;
+    for (const service::Json &pass : passes->array) {
+        if (pass.numberOr("gates_removed", 0.0) <= 0.0)
+            continue;
+        ++effective;
+        EXPECT_NE(pass.numberOr("cost_delta", 0.0), 0.0)
+            << pass.stringOr("name", "?");
+    }
+    EXPECT_GT(effective, 0u);
+}
+
+TEST(CliRun, ReportNamesTheVerifyModeThatRan)
+{
+    // mod5_cascade compiles with an ancilla, which the miter cannot
+    // project: the full check runs, and stderr and the report say so.
+    std::string err;
+    service::Json fallback =
+        compileReport({"-d", "ibmqx5", "--verify-miter", "--quiet"},
+                      sample("mod5_cascade.real"), &err);
+    EXPECT_EQ(fallback.stringOr("verify_mode", ""), "full");
+    EXPECT_NE(err.find("--verify-miter ran the full check"),
+              std::string::npos)
+        << err;
+
+    service::Json miter =
+        compileReport({"-d", "ibmqx5", "--verify-miter", "--quiet"},
+                      sample("toffoli.qasm"), &err);
+    EXPECT_EQ(miter.stringOr("verify_mode", ""), "miter");
+    EXPECT_EQ(miter.stringOr("verification", ""), "equivalent");
+    EXPECT_EQ(err.find("full check"), std::string::npos) << err;
+
+    service::Json off = compileReport({"-d", "ibmqx5", "--no-verify"},
+                                      sample("toffoli.qasm"), &err);
+    EXPECT_EQ(off.stringOr("verify_mode", ""), "off");
+    EXPECT_EQ(off.stringOr("verification", ""), "skipped");
+}
+
 TEST(CliRun, FidelityAndPhasePolyFlagsParse)
 {
     CliOptions opts = parseCliArguments(
@@ -298,13 +395,25 @@ TEST(CliParse, ObservabilityFlags)
     CliOptions opts = parseCliArguments(
         {"--trace-json", "t.json", "--metrics-json", "m.json",
          "--log-level", "debug", "x.qasm"});
-    EXPECT_EQ(opts.tracePath, "t.json");
-    EXPECT_EQ(opts.metricsPath, "m.json");
-    ASSERT_TRUE(opts.logLevel.has_value());
-    EXPECT_EQ(*opts.logLevel, obs::LogLevel::Debug);
+    EXPECT_EQ(opts.obs.tracePath, "t.json");
+    EXPECT_EQ(opts.obs.metricsPath, "m.json");
+    ASSERT_TRUE(opts.obs.logLevel.has_value());
+    EXPECT_EQ(*opts.obs.logLevel, obs::LogLevel::Debug);
     EXPECT_THROW(parseCliArguments({"--log-level", "loud", "x.qasm"}),
                  UserError);
     EXPECT_THROW(parseCliArguments({"--trace-json"}), UserError);
+    // --remote compiles nothing locally: every export is refused, the
+    // other shared flags are kept.
+    for (const char *flag :
+         {"--trace-json", "--metrics-json", "--metrics-prom"}) {
+        EXPECT_THROW(parseCliArguments(
+                         {"--remote", "d.sock", flag, "f", "x.qasm"}),
+                     UserError)
+            << flag;
+    }
+    EXPECT_NO_THROW(parseCliArguments({"--remote", "d.sock",
+                                       "--crash-dump", ".", "--log-level",
+                                       "info", "x.qasm"}));
 }
 
 TEST(CliRun, TraceAndMetricsJsonFiles)

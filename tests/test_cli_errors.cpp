@@ -1,9 +1,10 @@
 /**
  * @file
- * Error-path tests for the installed tools (qsync, qverify, qsim),
- * run as real subprocesses: every malformed invocation must exit with
- * a nonzero code and a diagnostic on stderr — never a crash, never an
- * uncaught exception, never silence.
+ * Error-path tests for the installed tools (qsync, qverify, qsim,
+ * qsynd), run as real subprocesses: every malformed invocation must
+ * exit with a nonzero code and a diagnostic on stderr — never a crash,
+ * never an uncaught exception, never silence. Also the observability
+ * exports of the tools other test files do not run.
  *
  * The tool directory arrives via the QSYN_TOOL_DIR environment
  * variable (set by tests/CMakeLists.txt from the build tree).
@@ -15,7 +16,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+
+#include "service/json.hpp"
 
 namespace {
 
@@ -80,6 +84,22 @@ scratchFile(const std::string &name, const std::string &content)
 }
 
 const char *kBadQasm = "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[5];\n";
+
+/** Parse a file the tool wrote with the library's strict parser; a
+ *  missing file or a parse error fails the test. */
+qsyn::service::Json
+parseFile(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::stringstream text;
+    text << in.rdbuf();
+    qsyn::service::Json v;
+    std::string error;
+    EXPECT_TRUE(qsyn::service::parseJson(text.str(), &v, &error))
+        << path << ": " << error;
+    return v;
+}
 
 } // namespace
 
@@ -263,4 +283,86 @@ TEST(QsimErrors, BadNumericValues)
                            "bad count");
     expectDiagnosedFailure(
         runTool("qsim", "--threshold tiny " + ok), "bad numeric");
+}
+
+// ---------------------------------------------------------------------
+// Observability flags shared by every tool
+// ---------------------------------------------------------------------
+
+TEST(ObsFlags, BadLogLevelIsOneDiagnosticEverywhere)
+{
+    std::string ok = scratchFile(
+        "ok.qasm", "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n");
+    const std::string message =
+        "error: unknown log level 'bogus' (quiet|info|debug|trace)";
+    struct Case
+    {
+        const char *tool;
+        std::string args;
+        int exitCode;
+    };
+    // qverify reports usage errors with 2, since its 1 means "not
+    // equivalent".
+    for (const Case &c :
+         {Case{"qsync", ok, 1}, Case{"qsim", ok, 1},
+          Case{"qsynd", "--socket unused.sock", 1},
+          Case{"qverify", ok + " " + ok, 2}}) {
+        RunResult res =
+            runTool(c.tool, "--log-level bogus " + c.args);
+        EXPECT_EQ(res.exitCode, c.exitCode) << c.tool << res.output;
+        EXPECT_NE(res.output.find(message), std::string::npos)
+            << c.tool << ":\n"
+            << res.output;
+    }
+}
+
+TEST(ObsFlags, QsyndRefusesEndOfRunExports)
+{
+    for (std::string flag : {"--trace-json", "--metrics-json"}) {
+        expectDiagnosedFailure(
+            runTool("qsynd", "--socket unused.sock " + flag + " out.json"),
+            flag + " is not supported by qsynd");
+    }
+}
+
+TEST(ObsFlags, QsimAndQverifyExportTraceAndMetrics)
+{
+    std::string bell = scratchFile(
+        "bell.qasm", "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                     "qreg q[2];\nh q[0];\ncx q[0], q[1];\n");
+    struct Case
+    {
+        const char *tool;
+        std::string args;
+        const char *span;
+    };
+    for (const Case &c : {Case{"qsim", bell, "qsim.simulate"},
+                          Case{"qverify", bell + " " + bell,
+                               "qmdd.equivalence_check"}}) {
+        std::string trace = scratchFile(std::string(c.tool) + ".trace",
+                                        "");
+        std::string metrics =
+            scratchFile(std::string(c.tool) + ".metrics", "");
+        RunResult res = runTool(c.tool, "--trace-json " + trace +
+                                            " --metrics-json " + metrics +
+                                            " " + c.args);
+        ASSERT_EQ(res.exitCode, 0) << c.tool << res.output;
+        EXPECT_NE(res.output.find("wrote " + trace), std::string::npos)
+            << res.output;
+        EXPECT_NE(res.output.find("wrote " + metrics), std::string::npos)
+            << res.output;
+
+        qsyn::service::Json t = parseFile(trace);
+        const qsyn::service::Json *events = t.find("traceEvents");
+        ASSERT_NE(events, nullptr) << c.tool;
+        bool sawSpan = false;
+        for (const qsyn::service::Json &e : events->array)
+            sawSpan = sawSpan || e.stringOr("name", "") == c.span;
+        EXPECT_TRUE(sawSpan) << c.tool << " trace lacks " << c.span;
+
+        qsyn::service::Json m = parseFile(metrics);
+        const qsyn::service::Json *gauges = m.find("gauges");
+        ASSERT_NE(gauges, nullptr) << c.tool;
+        EXPECT_NE(gauges->find("qmdd.live_nodes"), nullptr) << c.tool;
+    }
 }

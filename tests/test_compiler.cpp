@@ -161,7 +161,7 @@ TEST(Compiler, VerifyOffSkipsChecking)
     Circuit c(2, "noverify");
     c.addCnot(0, 1);
     CompileResult res = compiler.compile(c);
-    EXPECT_FALSE(res.verifyRan);
+    EXPECT_FALSE(res.verifyRan());
 }
 
 TEST(Compiler, MiterModeVerifies)
@@ -188,7 +188,7 @@ TEST(Compiler, MeasurementsPassThroughAndSkipVerification)
     c.add(Gate::measure(0, 0));
     c.add(Gate::measure(1, 1));
     CompileResult res = compiler.compile(c);
-    EXPECT_FALSE(res.verifyRan); // non-unitary input
+    EXPECT_FALSE(res.verifyRan()); // non-unitary input
     size_t measures = 0;
     for (const Gate &g : res.optimized) {
         if (g.kind() == GateKind::Measure)

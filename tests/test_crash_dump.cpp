@@ -17,17 +17,44 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "test_json_util.hpp"
+#include "service/json.hpp"
 
 namespace fs = std::filesystem;
-using testjson::Json;
-using testjson::parseJson;
+using qsyn::service::Json;
 
 namespace {
+
+/** Parse `text` with the library's strict parser; a flaw fails the
+ *  test. */
+Json
+parse(const std::string &text)
+{
+    Json v;
+    std::string error;
+    EXPECT_TRUE(qsyn::service::parseJson(text, &v, &error)) << error;
+    return v;
+}
+
+/** The member at `path` below `v`; a missing key fails the test. */
+const Json &
+at(const Json &v, std::initializer_list<const char *> path)
+{
+    static const Json kMissing;
+    const Json *cur = &v;
+    for (const char *key : path) {
+        cur = cur->find(key);
+        if (cur == nullptr) {
+            ADD_FAILURE() << "missing key '" << key << "'";
+            return kMissing;
+        }
+    }
+    return *cur;
+}
 
 struct RunResult
 {
@@ -132,28 +159,28 @@ TEST(CrashDump, InjectedAbortLeavesParseableBlackBox)
 
     std::vector<fs::path> dumps = crashDumps(dir);
     ASSERT_EQ(dumps.size(), 1u) << res.output;
-    Json v = parseJson(slurp(dumps[0]));
-    EXPECT_DOUBLE_EQ(v.at("qsyn_crash_version").number, 1.0);
-    EXPECT_EQ(v.at("signal").str, "SIGABRT");
-    EXPECT_GT(v.at("pid").number, 0.0);
+    Json v = parse(slurp(dumps[0]));
+    EXPECT_DOUBLE_EQ(at(v, {"qsyn_crash_version"}).number, 1.0);
+    EXPECT_EQ(at(v, {"signal"}).str, "SIGABRT");
+    EXPECT_GT(at(v, {"pid"}).number, 0.0);
 
     // The flight recorder captured the compile that preceded the
     // crash: span begin/end pairs for the pipeline stages.
-    const Json &ring = v.at("flight_recorder");
+    const Json &ring = at(v, {"flight_recorder"});
     ASSERT_FALSE(ring.array.empty());
     bool sawCompile = false;
     for (const Json &e : ring.array) {
-        EXPECT_TRUE(e.has("seq"));
-        EXPECT_TRUE(e.has("kind"));
-        if (e.at("name").str == "compile")
+        EXPECT_NE(e.find("seq"), nullptr);
+        EXPECT_NE(e.find("kind"), nullptr);
+        if (at(e, {"name"}).str == "compile")
             sawCompile = true;
     }
     EXPECT_TRUE(sawCompile);
 
     // The main thread registered its crash name.
     bool sawMain = false;
-    for (const auto &[tid, entry] : v.at("thread_spans").object)
-        if (entry.at("name").str == "qsync-main")
+    for (const auto &[tid, entry] : at(v, {"thread_spans"}).object)
+        if (at(entry, {"name"}).str == "qsync-main")
             sawMain = true;
     EXPECT_TRUE(sawMain);
 }
@@ -231,12 +258,12 @@ TEST(CrashDump, ReportJsonCarriesResourceAccounting)
                                          " --no-emit --quiet " +
                                          circuit);
     ASSERT_EQ(res.exitCode, 0) << res.output;
-    Json v = parseJson(slurp(report));
-    const Json &resources = v.at("resources");
-    EXPECT_TRUE(resources.at("valid").boolean);
-    EXPECT_GT(resources.at("wall_seconds").number, 0.0);
-    EXPECT_GE(resources.at("user_cpu_seconds").number, 0.0);
-    EXPECT_GT(resources.at("peak_rss_kb").number, 0.0);
-    EXPECT_GT(resources.at("qmdd_peak_nodes").number, 0.0);
-    EXPECT_GT(resources.at("qmdd_arena_bytes").number, 0.0);
+    Json v = parse(slurp(report));
+    const Json &resources = at(v, {"resources"});
+    EXPECT_TRUE(at(resources, {"valid"}).boolean);
+    EXPECT_GT(at(resources, {"wall_seconds"}).number, 0.0);
+    EXPECT_GE(at(resources, {"user_cpu_seconds"}).number, 0.0);
+    EXPECT_GT(at(resources, {"peak_rss_kb"}).number, 0.0);
+    EXPECT_GT(at(resources, {"qmdd_peak_nodes"}).number, 0.0);
+    EXPECT_GT(at(resources, {"qmdd_arena_bytes"}).number, 0.0);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <thread>
@@ -17,15 +18,39 @@
 #include "obs/obs.hpp"
 #include "ir/circuit.hpp"
 #include "qmdd/package.hpp"
-
-#include "test_json_util.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
+using service::Json;
 
 namespace {
 
-using testjson::Json;
-using testjson::parseJson;
+/** Parse `text` with the library's strict parser; a flaw fails the
+ *  test. */
+Json
+parse(const std::string &text)
+{
+    Json v;
+    std::string error;
+    EXPECT_TRUE(service::parseJson(text, &v, &error)) << error;
+    return v;
+}
+
+/** The member at `path` below `v`; a missing key fails the test. */
+const Json &
+at(const Json &v, std::initializer_list<const char *> path)
+{
+    static const Json kMissing;
+    const Json *cur = &v;
+    for (const char *key : path) {
+        cur = cur->find(key);
+        if (cur == nullptr) {
+            ADD_FAILURE() << "missing key '" << key << "'";
+            return kMissing;
+        }
+    }
+    return *cur;
+}
 
 } // namespace
 
@@ -50,7 +75,7 @@ TEST(ObsJsonEscape, EdgeCases)
 TEST(ObsJsonEscape, RoundTripsThroughParser)
 {
     std::string nasty = "he said \"q\\b\"\n\ttab\x01end";
-    Json v = parseJson("\"" + obs::jsonEscape(nasty) + "\"");
+    Json v = parse("\"" + obs::jsonEscape(nasty) + "\"");
     ASSERT_EQ(v.type, Json::Type::String);
     EXPECT_EQ(v.str, nasty);
 }
@@ -121,27 +146,27 @@ TEST(ObsMetrics, JsonSnapshotRoundTrips)
     m.observe("route.reroute_path_length", 3.0);
     m.observe("route.reroute_path_length", 5.0);
 
-    Json v = parseJson(m.toJson());
+    Json v = parse(m.toJson());
     EXPECT_DOUBLE_EQ(
-        v.at("counters").at("route.swaps_inserted").number, 12.0);
-    EXPECT_DOUBLE_EQ(v.at("gauges").at("qmdd.unique_hit_rate").number,
+        at(v, {"counters", "route.swaps_inserted"}).number, 12.0);
+    EXPECT_DOUBLE_EQ(at(v, {"gauges", "qmdd.unique_hit_rate"}).number,
                      0.75);
     const Json &h =
-        v.at("histograms").at("route.reroute_path_length");
-    EXPECT_DOUBLE_EQ(h.at("count").number, 2.0);
-    EXPECT_DOUBLE_EQ(h.at("sum").number, 8.0);
-    EXPECT_DOUBLE_EQ(h.at("min").number, 3.0);
-    EXPECT_DOUBLE_EQ(h.at("max").number, 5.0);
-    EXPECT_DOUBLE_EQ(h.at("mean").number, 4.0);
+        at(v, {"histograms", "route.reroute_path_length"});
+    EXPECT_DOUBLE_EQ(at(h, {"count"}).number, 2.0);
+    EXPECT_DOUBLE_EQ(at(h, {"sum"}).number, 8.0);
+    EXPECT_DOUBLE_EQ(at(h, {"min"}).number, 3.0);
+    EXPECT_DOUBLE_EQ(at(h, {"max"}).number, 5.0);
+    EXPECT_DOUBLE_EQ(at(h, {"mean"}).number, 4.0);
 }
 
 TEST(ObsMetrics, EmptyRegistryStillValidJson)
 {
     obs::MetricsRegistry m;
-    Json v = parseJson(m.toJson());
-    EXPECT_EQ(v.at("counters").object.size(), 0u);
-    EXPECT_EQ(v.at("gauges").object.size(), 0u);
-    EXPECT_EQ(v.at("histograms").object.size(), 0u);
+    Json v = parse(m.toJson());
+    EXPECT_EQ(at(v, {"counters"}).object.size(), 0u);
+    EXPECT_EQ(at(v, {"gauges"}).object.size(), 0u);
+    EXPECT_EQ(at(v, {"histograms"}).object.size(), 0u);
 }
 
 /* ------------------------------------------------------------------ */
@@ -178,17 +203,17 @@ TEST(ObsSpan, RecordsEventWithArgs)
     EXPECT_GE(events[0].tsUs, 0.0);
 
     // The full trace export (with the odd string arg) must parse.
-    Json v = parseJson(sink->traceJson());
-    const Json &list = v.at("traceEvents");
+    Json v = parse(sink->traceJson());
+    const Json &list = at(v, {"traceEvents"});
     ASSERT_EQ(list.type, Json::Type::Array);
     // [0] is the process_name metadata record.
     ASSERT_EQ(list.array.size(), 2u);
     const Json &ev = list.array[1];
-    EXPECT_EQ(ev.at("name").str, "unit.work");
-    EXPECT_EQ(ev.at("ph").str, "X");
-    EXPECT_DOUBLE_EQ(ev.at("args").at("gates").number, 42.0);
-    EXPECT_EQ(ev.at("args").at("name").str, "he\"llo\\");
-    EXPECT_DOUBLE_EQ(ev.at("args").at("ratio").number, 0.5);
+    EXPECT_EQ(at(ev, {"name"}).str, "unit.work");
+    EXPECT_EQ(at(ev, {"ph"}).str, "X");
+    EXPECT_DOUBLE_EQ(at(ev, {"args", "gates"}).number, 42.0);
+    EXPECT_EQ(at(ev, {"args", "name"}).str, "he\"llo\\");
+    EXPECT_DOUBLE_EQ(at(ev, {"args", "ratio"}).number, 0.5);
 }
 
 TEST(ObsSpan, NestingAcrossThreads)
@@ -260,9 +285,9 @@ TEST(ObsSink, TraceJsonAlwaysParses)
 {
     obs::ScopedSink sink;
     // No events at all: still a valid document with the metadata row.
-    Json empty = parseJson(sink->traceJson());
-    EXPECT_EQ(empty.at("traceEvents").array.size(), 1u);
-    EXPECT_EQ(empty.at("displayTimeUnit").str, "ms");
+    Json empty = parse(sink->traceJson());
+    EXPECT_EQ(at(empty, {"traceEvents"}).array.size(), 1u);
+    EXPECT_EQ(at(empty, {"displayTimeUnit"}).str, "ms");
 }
 
 /* ------------------------------------------------------------------ */
@@ -337,9 +362,9 @@ TEST(ObsMetrics, PackagePublishesAllocatorAndTableInternals)
     EXPECT_GE(m.gauge("qmdd.unique_rehashes"), 1.0);
     // Per-cache eviction counters are present (zero is fine for a
     // circuit this small, but the gauges themselves must exist).
-    Json v = parseJson(sink->metricsJson());
+    Json v = parse(sink->metricsJson());
     for (const char *g :
          {"qmdd.mul_evictions", "qmdd.add_evictions",
           "qmdd.ct_evictions", "qmdd.live_nodes", "qmdd.peak_nodes"})
-        EXPECT_NO_THROW(v.at("gauges").at(g)) << g;
+        EXPECT_NE(at(v, {"gauges"}).find(g), nullptr) << g;
 }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,14 +22,39 @@
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "obs/rusage.hpp"
-
-#include "test_json_util.hpp"
+#include "service/json.hpp"
 
 using namespace qsyn;
-using testjson::Json;
-using testjson::parseJson;
+using service::Json;
 
 namespace {
+
+/** Parse `text` with the library's strict parser; a flaw fails the
+ *  test. */
+Json
+parse(const std::string &text)
+{
+    Json v;
+    std::string error;
+    EXPECT_TRUE(service::parseJson(text, &v, &error)) << error;
+    return v;
+}
+
+/** The member at `path` below `v`; a missing key fails the test. */
+const Json &
+at(const Json &v, std::initializer_list<const char *> path)
+{
+    static const Json kMissing;
+    const Json *cur = &v;
+    for (const char *key : path) {
+        cur = cur->find(key);
+        if (cur == nullptr) {
+            ADD_FAILURE() << "missing key '" << key << "'";
+            return kMissing;
+        }
+    }
+    return *cur;
+}
 
 std::string
 slurp(const std::string &path)
@@ -121,16 +147,16 @@ TEST(ObsHistogram, MetricsJsonCarriesQuantiles)
     obs::MetricsRegistry m;
     for (int i = 1; i <= 100; ++i)
         m.observe("lat", static_cast<double>(i));
-    Json v = parseJson(m.toJson());
-    const Json &h = v.at("histograms").at("lat");
-    EXPECT_TRUE(h.has("p50"));
-    EXPECT_TRUE(h.has("p95"));
-    EXPECT_TRUE(h.has("p99"));
+    Json v = parse(m.toJson());
+    const Json &h = at(v, {"histograms", "lat"});
+    EXPECT_NE(h.find("p50"), nullptr);
+    EXPECT_NE(h.find("p95"), nullptr);
+    EXPECT_NE(h.find("p99"), nullptr);
     // Bucket resolution bounds accuracy; the estimates must at least
     // be ordered and inside the observed range.
-    double p50 = h.at("p50").number;
-    double p95 = h.at("p95").number;
-    double p99 = h.at("p99").number;
+    double p50 = at(h, {"p50"}).number;
+    double p95 = at(h, {"p95"}).number;
+    double p99 = at(h, {"p99"}).number;
     EXPECT_LE(p50, p95);
     EXPECT_LE(p95, p99);
     EXPECT_GE(p50, 1.0);
@@ -230,13 +256,13 @@ TEST(ObsMetricsStress, ConcurrentWritersAndExporters)
     // unparseable snapshot.
     std::thread exporter([&] {
         while (!stop.load(std::memory_order_relaxed)) {
-            EXPECT_NO_THROW(parseJson(m.toJson()));
+            parse(m.toJson());
             std::string prom = m.toPrometheus();
             EXPECT_TRUE(prom.empty() ||
                         prom.rfind("# TYPE", 0) == 0);
             std::string viaTry;
             if (m.tryToJson(&viaTry)) {
-                EXPECT_NO_THROW(parseJson(viaTry));
+                parse(viaTry);
             }
         }
     });
@@ -269,8 +295,8 @@ TEST(ObsMetricsStress, TryToJsonSucceedsUncontended)
     m.addCounter("c", 2);
     std::string out;
     ASSERT_TRUE(m.tryToJson(&out));
-    Json v = parseJson(out);
-    EXPECT_DOUBLE_EQ(v.at("counters").at("c").number, 2.0);
+    Json v = parse(out);
+    EXPECT_DOUBLE_EQ(at(v, {"counters", "c"}).number, 2.0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -396,25 +422,25 @@ TEST(ObsFlight, WriteCrashDumpProducesParseableJson)
     span.finish();
 
     ASSERT_FALSE(path.empty());
-    Json v = parseJson(slurp(path));
-    EXPECT_DOUBLE_EQ(v.at("qsyn_crash_version").number, 1.0);
-    EXPECT_EQ(v.at("signal").str, "TEST");
-    EXPECT_GT(v.at("pid").number, 0.0);
+    Json v = parse(slurp(path));
+    EXPECT_DOUBLE_EQ(at(v, {"qsyn_crash_version"}).number, 1.0);
+    EXPECT_EQ(at(v, {"signal"}).str, "TEST");
+    EXPECT_GT(at(v, {"pid"}).number, 0.0);
     // The open span shows up in this thread's crash stack.
-    const Json &spans = v.at("thread_spans");
+    const Json &spans = at(v, {"thread_spans"});
     bool sawStack = false;
     for (const auto &[tid, entry] : spans.object) {
-        if (entry.at("name").str != "dump-test")
+        if (at(entry, {"name"}).str != "dump-test")
             continue;
-        ASSERT_EQ(entry.at("stack").array.size(), 1u);
-        EXPECT_EQ(entry.at("stack").array[0].str, "dump.span");
+        ASSERT_EQ(at(entry, {"stack"}).array.size(), 1u);
+        EXPECT_EQ(at(entry, {"stack"}).array[0].str, "dump.span");
         sawStack = true;
     }
     EXPECT_TRUE(sawStack);
     // The ring (span begin at least) and the metrics snapshot landed.
-    EXPECT_FALSE(v.at("flight_recorder").array.empty());
+    EXPECT_FALSE(at(v, {"flight_recorder"}).array.empty());
     EXPECT_DOUBLE_EQ(
-        v.at("metrics").at("counters").at("dump.counter").number, 7.0);
+        at(v, {"metrics", "counters", "dump.counter"}).number, 7.0);
     std::remove(path.c_str());
 }
 

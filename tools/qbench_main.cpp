@@ -309,7 +309,7 @@ main(int argc, char **argv)
                 {"critical_gates",
                  static_cast<double>(dm.criticalGates)},
                 {"verified",
-                 r.verifyRan && dd::isEquivalent(r.verification) ? 1.0
+                 r.verifyRan() && dd::isEquivalent(r.verification) ? 1.0
                                                                  : 0.0},
             };
         }));

@@ -11,7 +11,6 @@
  */
 
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,8 +19,6 @@
 #include "common/errors.hpp"
 #include "common/stopwatch.hpp"
 #include "frontend/loader.hpp"
-#include "obs/expo.hpp"
-#include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "qmdd/vector.hpp"
 
@@ -34,49 +31,14 @@ printHelp()
         << "qsim - vector-QMDD circuit simulation\n\n"
            "usage: qsim [options] <circuit>\n\n"
            "options:\n"
-           "  --input <bits>    initial basis state as a bit string\n"
-           "                    (qubit 0 first; default all zeros)\n"
-           "  --top <n>         print at most n amplitudes (default 16)\n"
-           "  --threshold <p>   hide amplitudes with |a|^2 < p\n"
-           "                    (default 1e-9)\n"
-           "  --trace-json <f>  write a Chrome trace-event file\n"
-           "  --metrics-json <f> write a metrics snapshot\n"
-           "  --metrics-prom <f> write Prometheus text exposition\n"
-           "  --crash-dump <d>  arm the crash handler; a crash leaves\n"
-           "                    qsyn-crash-<pid>.json in <d>\n"
-           "  --log-level <l>   quiet | info | debug | trace\n"
-           "  -h, --help        this text\n";
-}
-
-/** Write observability outputs requested on the command line. */
-void
-writeObsFiles(qsyn::obs::Sink &sink, const std::string &trace_path,
-              const std::string &metrics_path,
-              const std::string &prom_path = {})
-{
-    using qsyn::UserError;
-    if (!trace_path.empty()) {
-        std::ofstream f(trace_path);
-        if (!f)
-            throw UserError("cannot write trace '" + trace_path + "'");
-        f << sink.traceJson();
-        std::cerr << "wrote " << trace_path << "\n";
-    }
-    if (!metrics_path.empty()) {
-        std::ofstream f(metrics_path);
-        if (!f)
-            throw UserError("cannot write metrics '" + metrics_path +
-                            "'");
-        f << sink.metricsJson();
-        std::cerr << "wrote " << metrics_path << "\n";
-    }
-    if (!prom_path.empty()) {
-        std::string error;
-        if (!qsyn::obs::writePrometheusFile(sink.metrics(), prom_path,
-                                            &error))
-            throw UserError("cannot write metrics: " + error);
-        std::cerr << "wrote " << prom_path << "\n";
-    }
+           "      --input <bits>       initial basis state as a bit string\n"
+           "                           (qubit 0 first; default all zeros)\n"
+           "      --top <n>            print at most n amplitudes\n"
+           "                           (default 16)\n"
+           "      --threshold <p>      hide amplitudes with |a|^2 < p\n"
+           "                           (default 1e-9)\n"
+           "  -h, --help               this text\n\n"
+        << qsyn::cli::obsHelpText();
 }
 
 } // namespace
@@ -85,20 +47,23 @@ int
 main(int argc, char **argv)
 {
     using namespace qsyn;
+    std::vector<std::string> args(argv + 1, argv + argc);
     std::string path;
     std::string input_bits;
-    std::string trace_path, metrics_path, prom_path, crash_dir;
+    cli::ObsFlags obs_flags;
     size_t top = 16;
     double threshold = 1e-9;
 
     try {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
+        for (size_t i = 0; i < args.size(); ++i) {
+            const std::string &arg = args[i];
             auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
+                if (i + 1 >= args.size())
                     throw UserError("missing value for " + arg);
-                return argv[++i];
+                return args[++i];
             };
+            if (cli::parseObsFlag(args, &i, &obs_flags))
+                continue;
             if (arg == "-h" || arg == "--help") {
                 printHelp();
                 return 0;
@@ -108,21 +73,6 @@ main(int argc, char **argv)
                 top = cli::parseCountValue(arg, next());
             } else if (arg == "--threshold") {
                 threshold = cli::parseDoubleValue(arg, next());
-            } else if (arg == "--trace-json") {
-                trace_path = next();
-            } else if (arg == "--metrics-json") {
-                metrics_path = next();
-            } else if (arg == "--metrics-prom") {
-                prom_path = next();
-            } else if (arg == "--crash-dump") {
-                crash_dir = next();
-            } else if (arg == "--log-level") {
-                std::string value = next();
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                obs::setLogLevel(level);
             } else if (!arg.empty() && arg[0] == '-') {
                 throw UserError("unknown option '" + arg + "'");
             } else if (path.empty()) {
@@ -135,19 +85,7 @@ main(int argc, char **argv)
         if (path.empty())
             throw UserError("no circuit file (try --help)");
 
-        obs::flight::setRecording(true);
-        if (!crash_dir.empty()) {
-            obs::flight::CrashConfig crash_config;
-            crash_config.dir = crash_dir;
-            obs::flight::installCrashHandler(crash_config);
-        }
-        obs::Sink obs_sink;
-        const bool observing = !trace_path.empty() ||
-                               !metrics_path.empty() ||
-                               !prom_path.empty();
-        if (observing)
-            obs::installSink(&obs_sink);
-        obs::nameCurrentThread("qsim-main");
+        cli::ObsSession session(obs_flags, "qsim-main");
 
         Circuit circuit = frontend::loadCircuitFile(path);
         Qubit n = circuit.numQubits();
@@ -179,12 +117,9 @@ main(int argc, char **argv)
         }
         std::cerr << "simulated in " << sw.seconds() << " s ("
                   << pkg.countNodes(state) << " state nodes)\n";
-        if (observing) {
+        if (session.sink() != nullptr)
             pkg.publishMetrics();
-            obs::installSink(nullptr);
-            writeObsFiles(obs_sink, trace_path, metrics_path,
-                          prom_path);
-        }
+        session.writeFiles(std::cerr);
 
         if (n > 24) {
             std::cout << "norm^2 = "

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,13 +22,11 @@
 #include "cli/options.hpp"
 #include "common/errors.hpp"
 #include "obs/expo.hpp"
-#include "obs/flight.hpp"
-#include "obs/obs.hpp"
 #include "service/server.hpp"
 
 namespace {
 
-const char *kHelp =
+const std::string kHelp =
     "qsynd - qsyn compile-server daemon\n"
     "\n"
     "usage: qsynd --socket <path> [options]\n"
@@ -53,13 +50,14 @@ const char *kHelp =
     "                           (default: memory tier only)\n"
     "      --cache-max-mb <n>   on-disk cache budget (default 256)\n"
     "      --no-share-manager   private QMDD package per request\n"
-    "      --metrics-prom <f>   rewrite Prometheus text exposition\n"
-    "                           here every --stats-interval seconds\n"
-    "      --stats-interval <s> metrics file refresh period\n"
+    "      --stats-interval <s> --metrics-prom refresh period\n"
     "                           (default 5 with --metrics-prom)\n"
-    "      --crash-dump <dir>   arm the flight-recorder crash handler\n"
-    "      --log-level <l>      quiet | info | debug | trace\n"
-    "  -h, --help               this text\n";
+    "  -h, --help               this text\n"
+    "\n" +
+    std::string(qsyn::cli::obsHelpText()) +
+    "qsynd rewrites --metrics-prom every --stats-interval seconds\n"
+    "and serves live metrics through the `stats` op; it takes no\n"
+    "--trace-json or --metrics-json.\n";
 
 qsyn::service::Server *g_server = nullptr;
 
@@ -79,11 +77,9 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 1, argv + argc);
     try {
         service::ServerConfig config;
-        std::string metricsPromPath;
-        std::string crashDumpDir;
+        cli::ObsFlags obsFlags;
         double statsInterval = 0.0;
         size_t cacheMaxMb = 256;
-        std::optional<obs::LogLevel> logLevel;
 
         size_t i = 0;
         auto next = [&](const std::string &flag) -> std::string {
@@ -93,6 +89,8 @@ main(int argc, char **argv)
         };
         for (; i < args.size(); ++i) {
             const std::string &arg = args[i];
+            if (cli::parseObsFlag(args, &i, &obsFlags))
+                continue;
             if (arg == "-h" || arg == "--help") {
                 std::cout << kHelp;
                 return 0;
@@ -132,21 +130,10 @@ main(int argc, char **argv)
                     throw UserError("--cache-max-mb must be >= 1");
             } else if (arg == "--no-share-manager") {
                 config.shareManager = false;
-            } else if (arg == "--metrics-prom") {
-                metricsPromPath = next(arg);
             } else if (arg == "--stats-interval") {
                 statsInterval = cli::parseDoubleValue(arg, next(arg));
                 if (statsInterval < 0.0)
                     throw UserError("--stats-interval must be >= 0");
-            } else if (arg == "--crash-dump") {
-                crashDumpDir = next(arg);
-            } else if (arg == "--log-level") {
-                std::string value = next(arg);
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                logLevel = level;
             } else {
                 throw UserError("unknown option '" + arg +
                                 "' (try --help)");
@@ -154,22 +141,23 @@ main(int argc, char **argv)
         }
         if (config.socketPath.empty())
             throw UserError("--socket is required (try --help)");
+        // A daemon has no end-of-run snapshot for --trace-json or
+        // --metrics-json to capture. exportFlag() names both before
+        // --metrics-prom, so it returns --metrics-prom only when that
+        // is the sole export.
+        if (const char *flag = obsFlags.exportFlag();
+            flag != nullptr && std::string(flag) != "--metrics-prom")
+            throw UserError(std::string(flag) +
+                            " is not supported by qsynd (see --help)");
         config.cacheMaxBytes = static_cast<std::uint64_t>(cacheMaxMb)
                                << 20;
 
-        if (logLevel)
-            obs::setLogLevel(*logLevel);
-        obs::flight::setRecording(true);
-        if (!crashDumpDir.empty()) {
-            obs::flight::CrashConfig crash_config;
-            crash_config.dir = crashDumpDir;
-            obs::flight::installCrashHandler(crash_config);
-        }
         // The daemon always carries a metrics sink: the `stats` op
         // serves it live, and --metrics-prom persists it for scrapes.
-        obs::Sink sink;
-        obs::installSink(&sink);
-        obs::nameCurrentThread("qsynd-main");
+        cli::ObsSession session(obsFlags, "qsynd-main",
+                                /*alwaysSink=*/true);
+        obs::Sink &sink = *session.sink();
+        const std::string &metricsPromPath = obsFlags.metricsPromPath;
 
         service::Server server(config);
         g_server = &server;
@@ -212,7 +200,6 @@ main(int argc, char **argv)
             server.stop();
         }
         g_server = nullptr;
-        obs::installSink(nullptr);
         std::cerr << "qsynd: drained, bye\n";
         return 0;
     } catch (const UserError &e) {

@@ -14,7 +14,6 @@
  * inconclusive, or a usage/internal error.
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -29,9 +28,6 @@
 #include "common/stopwatch.hpp"
 #include "core/batch.hpp"
 #include "frontend/loader.hpp"
-#include "obs/expo.hpp"
-#include "obs/flight.hpp"
-#include "obs/obs.hpp"
 #include "qmdd/equivalence.hpp"
 
 namespace {
@@ -46,60 +42,27 @@ printHelp()
            "each with its own QMDD package; verdicts print in input\n"
            "order.\n\n"
            "options:\n"
-           "  -j, --jobs <n>     check pairs on n worker threads\n"
-           "                     (0 = one per core)\n"
-           "  --share-manager    workers check against one shared\n"
-           "                     QMDD package (default)\n"
-           "  --no-share-manager private QMDD package per pair\n"
-           "  --strict           require exact equality (no global "
-           "phase slack)\n"
-           "  --miter            alternating-miter accumulation\n"
-           "  --ancilla <list>   comma-separated wires required |0> at\n"
-           "                     input and output (clean ancillas)\n"
-           "  --budget <n>       node budget (0 = unlimited)\n"
-           "  --no-quick-refute  skip the random-stimuli pre-check\n"
-           "  --cache-dir <d>    memoize verdicts in a persistent\n"
-           "                     cache directory (keyed by both\n"
-           "                     circuits and every option)\n"
-           "  --no-cache         ignore --cache-dir for this run\n"
-           "  --trace-json <f>   write a Chrome trace-event file\n"
-           "  --metrics-json <f> write a metrics snapshot\n"
-           "  --metrics-prom <f> write Prometheus text exposition\n"
-           "  --crash-dump <d>   arm the crash handler; a crash\n"
-           "                     leaves qsyn-crash-<pid>.json in <d>\n"
-           "  --log-level <l>    quiet | info | debug | trace\n"
-           "  -h, --help         this text\n";
-}
-
-/** Write observability outputs requested on the command line. */
-void
-writeObsFiles(qsyn::obs::Sink &sink, const std::string &trace_path,
-              const std::string &metrics_path,
-              const std::string &prom_path = {})
-{
-    using qsyn::UserError;
-    if (!trace_path.empty()) {
-        std::ofstream f(trace_path);
-        if (!f)
-            throw UserError("cannot write trace '" + trace_path + "'");
-        f << sink.traceJson();
-        std::cerr << "wrote " << trace_path << "\n";
-    }
-    if (!metrics_path.empty()) {
-        std::ofstream f(metrics_path);
-        if (!f)
-            throw UserError("cannot write metrics '" + metrics_path +
-                            "'");
-        f << sink.metricsJson();
-        std::cerr << "wrote " << metrics_path << "\n";
-    }
-    if (!prom_path.empty()) {
-        std::string error;
-        if (!qsyn::obs::writePrometheusFile(sink.metrics(), prom_path,
-                                            &error))
-            throw UserError("cannot write metrics: " + error);
-        std::cerr << "wrote " << prom_path << "\n";
-    }
+           "  -j, --jobs <n>           check pairs on n worker threads\n"
+           "                           (0 = one per core)\n"
+           "      --share-manager      workers check against one shared\n"
+           "                           QMDD package (default)\n"
+           "      --no-share-manager   private QMDD package per pair\n"
+           "      --strict             require exact equality (no global\n"
+           "                           phase slack)\n"
+           "      --miter              alternating-miter accumulation\n"
+           "                           (the full check runs when\n"
+           "                           --ancilla is given)\n"
+           "      --ancilla <list>     comma-separated wires required |0>\n"
+           "                           at input and output (clean\n"
+           "                           ancillas)\n"
+           "      --budget <n>         node budget (0 = unlimited)\n"
+           "      --no-quick-refute    skip the random-stimuli pre-check\n"
+           "      --cache-dir <d>      memoize verdicts in a persistent\n"
+           "                           cache directory (keyed by both\n"
+           "                           circuits and every option)\n"
+           "      --no-cache           ignore --cache-dir for this run\n"
+           "  -h, --help               this text\n\n"
+        << qsyn::cli::obsHelpText();
 }
 
 std::vector<qsyn::Qubit>
@@ -126,8 +89,9 @@ int
 main(int argc, char **argv)
 {
     using namespace qsyn;
+    std::vector<std::string> args(argv + 1, argv + argc);
     std::vector<std::string> files;
-    std::string trace_path, metrics_path, prom_path, crash_dir;
+    cli::ObsFlags obs_flags;
     std::string cache_dir;
     bool use_cache = true;
     size_t jobs = 1;
@@ -136,13 +100,15 @@ main(int argc, char **argv)
     options.quickRefuteSamples = 4;
 
     try {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
+        for (size_t i = 0; i < args.size(); ++i) {
+            const std::string &arg = args[i];
             auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
+                if (i + 1 >= args.size())
                     throw UserError("missing value for " + arg);
-                return argv[++i];
+                return args[++i];
             };
+            if (cli::parseObsFlag(args, &i, &obs_flags))
+                continue;
             if (arg == "-h" || arg == "--help") {
                 printHelp();
                 return 0;
@@ -166,21 +132,6 @@ main(int argc, char **argv)
                 cache_dir = next();
             } else if (arg == "--no-cache") {
                 use_cache = false;
-            } else if (arg == "--trace-json") {
-                trace_path = next();
-            } else if (arg == "--metrics-json") {
-                metrics_path = next();
-            } else if (arg == "--metrics-prom") {
-                prom_path = next();
-            } else if (arg == "--crash-dump") {
-                crash_dir = next();
-            } else if (arg == "--log-level") {
-                std::string value = next();
-                obs::LogLevel level;
-                if (!obs::parseLogLevel(value, &level))
-                    throw UserError("unknown log level '" + value +
-                                    "' (quiet|info|debug|trace)");
-                obs::setLogLevel(level);
             } else if (!arg.empty() && arg[0] == '-') {
                 throw UserError("unknown option '" + arg + "'");
             } else {
@@ -191,19 +142,10 @@ main(int argc, char **argv)
             throw UserError(
                 "expected an even number of circuit files (>= 2)");
 
-        obs::flight::setRecording(true);
-        if (!crash_dir.empty()) {
-            obs::flight::CrashConfig crash_config;
-            crash_config.dir = crash_dir;
-            obs::flight::installCrashHandler(crash_config);
-        }
-        obs::Sink obs_sink;
-        const bool observing = !trace_path.empty() ||
-                               !metrics_path.empty() ||
-                               !prom_path.empty();
-        if (observing)
-            obs::installSink(&obs_sink);
-        obs::nameCurrentThread("qverify-main");
+        cli::ObsSession session(obs_flags, "qverify-main");
+        if (options.useMiter && !dd::runsMiter(options))
+            std::cerr << "note: --miter cannot project --ancilla wires; "
+                         "running the full check\n";
 
         /** One consecutive file pair, checked on its own package. */
         struct PairOutcome
@@ -301,15 +243,12 @@ main(int argc, char **argv)
             else if (res.errored || !dd::isEquivalent(res.verdict))
                 any_inconclusive = true;
         }
-        if (observing) {
-            // Per-package gauges only make sense for a single pair;
-            // trace spans from all pairs are in the sink regardless.
-            if (pairs == 1 && !outcomes[0].errored)
-                last_pkg.publishMetrics();
-            obs::installSink(nullptr);
-            writeObsFiles(obs_sink, trace_path, metrics_path,
-                          prom_path);
-        }
+        // Per-package gauges only make sense for a single pair; trace
+        // spans from all pairs are in the sink regardless.
+        if (session.sink() != nullptr && pairs == 1 &&
+            !outcomes[0].errored)
+            last_pkg.publishMetrics();
+        session.writeFiles(std::cerr);
 
         if (any_not_equivalent)
             return 1;
