@@ -13,6 +13,11 @@
 
 #pragma once
 
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "device/device.hpp"
 #include "ir/circuit.hpp"
 
@@ -46,14 +51,37 @@ bool mergeRotations(Circuit &circuit);
 bool applyHadamardRules(Circuit &circuit, const Device *device);
 
 /**
+ * What removeIdentityWindows already knows. A window's longest identity
+ * prefix is a pure function of its member gates relabelled to
+ * window-local wires plus its width; `prefixes` maps exactly that
+ * (angles compared bit for bit) to the prefix length, and a lookup
+ * compares the full key. `clean` is the circuit the last call returned,
+ * which holds no identity window under `cleanLimits`, so a call on an
+ * exact copy of it returns at once. optimizeCircuit keeps one memo
+ * across all its rounds: unchanged regions cost a lookup and the
+ * confirming round one comparison.
+ */
+struct WindowMemo
+{
+    std::unordered_map<std::string, size_t> prefixes;
+    /** Windows answered from `prefixes`. */
+    size_t hits = 0;
+    std::vector<Gate> clean;
+    /** (max_qubits, max_gates) of the call that returned `clean`. */
+    std::pair<int, size_t> cleanLimits{0, 0};
+};
+
+/**
  * Remove gate partitions that multiply to the identity: slides a
  * window over runs of gates confined to at most `max_qubits` wires
  * (gates on disjoint wires may interleave) and deletes any prefix
- * whose product is exactly the identity. Returns true when the circuit
- * changed.
+ * whose product is exactly the identity. `memo` carries verdicts
+ * between calls (null: a memo local to this call). Returns true when
+ * the circuit changed.
  */
 bool removeIdentityWindows(Circuit &circuit, int max_qubits = 3,
-                           size_t max_gates = 16);
+                           size_t max_gates = 16,
+                           WindowMemo *memo = nullptr);
 
 /**
  * Phase-polynomial merging (extension beyond the paper's optimizer):

@@ -30,6 +30,7 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
     PassReport hadamard{"hadamard_rules", 0, 0, 0, 0.0};
     PassReport window{"window_identity", 0, 0, 0, 0.0};
     PassReport phase{"phase_polynomial", 0, 0, 0, 0.0};
+    WindowMemo window_memo;
 
     const bool capture = options.capturePassCircuits && report != nullptr;
     int current_round = 0;
@@ -99,7 +100,8 @@ optimizeCircuit(const Circuit &circuit, const OptimizerOptions &options,
             changed |= run_pass(window, "opt.window_identity", [&] {
                 return removeIdentityWindows(current,
                                              options.windowQubits,
-                                             options.windowGates);
+                                             options.windowGates,
+                                             &window_memo);
             });
         }
         if (options.enablePhasePolynomial) {

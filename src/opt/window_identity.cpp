@@ -5,10 +5,16 @@
  * function". A window is a run of gates confined to a small wire set
  * (gates on disjoint wires may interleave and are untouched); the
  * window's unitary is accumulated as a small dense matrix, and the
- * first prefix multiplying to the exact identity is deleted.
+ * first prefix multiplying to the exact identity is deleted. Verdicts
+ * are memoised on the window's relabelled contents (WindowMemo), so an
+ * unchanged region costs a lookup rather than a dense product, and a
+ * circuit nothing edited since the last call costs one comparison.
  */
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/matrix.hpp"
@@ -27,27 +33,34 @@ isWindowable(const Gate &g)
 }
 
 /**
- * Collect a window starting at `start`: member gate indices whose
- * wires stay inside a growing set of at most `max_qubits` wires.
- * Gates fully disjoint from the set are skipped over; expansion past a
- * skipped gate's wires is refused (that gate might not commute).
+ * A window starting at some gate: member gate indices whose wires stay
+ * inside a growing set of at most `max_qubits` wires. Gates fully
+ * disjoint from the set are skipped over; expansion past a skipped
+ * gate's wires is refused (that gate might not commute). `skipped` and
+ * `fresh` are scratch, kept here so one Window serves a whole scan
+ * without reallocating.
  */
 struct Window
 {
     std::vector<size_t> members;
     std::vector<Qubit> wires;
+    std::vector<Qubit> skipped;
+    std::vector<Qubit> fresh;
 };
 
-Window
-collectWindow(const Circuit &circuit, size_t start, int max_qubits,
-              size_t max_gates)
+bool
+contains(const std::vector<Qubit> &set, Qubit q)
 {
-    Window win;
-    std::vector<Qubit> skipped_wires;
+    return std::find(set.begin(), set.end(), q) != set.end();
+}
 
-    auto in_set = [](const std::vector<Qubit> &set, Qubit q) {
-        return std::find(set.begin(), set.end(), q) != set.end();
-    };
+void
+collectWindow(const Circuit &circuit, size_t start, int max_qubits,
+              size_t max_gates, Window &win)
+{
+    win.members.clear();
+    win.wires.clear();
+    win.skipped.clear();
 
     for (size_t j = start;
          j < circuit.size() && win.members.size() < max_gates; ++j) {
@@ -61,40 +74,49 @@ collectWindow(const Circuit &circuit, size_t start, int max_qubits,
                 break;
             continue;
         }
-        auto wires = g.qubits();
-        std::vector<Qubit> fresh;
+        win.fresh.clear();
         bool overlaps = false;
-        for (Qubit q : wires) {
-            if (in_set(win.wires, q))
+        auto classify = [&](Qubit q) {
+            if (contains(win.wires, q))
                 overlaps = true;
             else
-                fresh.push_back(q);
-        }
-        if (fresh.empty()) {
+                win.fresh.push_back(q);
+        };
+        for (Qubit q : g.controls())
+            classify(q);
+        for (Qubit q : g.targets())
+            classify(q);
+        if (win.fresh.empty()) {
             win.members.push_back(j);
             continue;
         }
         if (!overlaps && !win.members.empty()) {
             // Fully disjoint: skip over, but remember its wires so we
             // never expand onto them later.
-            for (Qubit q : fresh)
-                skipped_wires.push_back(q);
+            win.skipped.insert(win.skipped.end(), win.fresh.begin(),
+                               win.fresh.end());
             continue;
         }
         // Overlapping (or the very first gate): try to expand.
-        bool blocked = std::any_of(fresh.begin(), fresh.end(),
-                                   [&](Qubit q) {
-                                       return in_set(skipped_wires, q);
-                                   });
+        bool blocked = std::any_of(
+            win.fresh.begin(), win.fresh.end(),
+            [&](Qubit q) { return contains(win.skipped, q); });
         if (blocked ||
-            win.wires.size() + fresh.size() >
+            win.wires.size() + win.fresh.size() >
                 static_cast<size_t>(max_qubits))
             break;
-        for (Qubit q : fresh)
-            win.wires.push_back(q);
+        win.wires.insert(win.wires.end(), win.fresh.begin(),
+                         win.fresh.end());
         win.members.push_back(j);
     }
-    return win;
+}
+
+/** Index of wire `q` in the window's wire list. */
+int
+localWire(const Window &win, Qubit q)
+{
+    auto it = std::find(win.wires.begin(), win.wires.end(), q);
+    return static_cast<int>(it - win.wires.begin());
 }
 
 /**
@@ -105,22 +127,19 @@ size_t
 identityPrefix(const Circuit &circuit, const Window &win)
 {
     DenseMatrix m(static_cast<int>(win.wires.size()));
-    auto local = [&](Qubit q) {
-        auto it = std::find(win.wires.begin(), win.wires.end(), q);
-        return static_cast<int>(it - win.wires.begin());
-    };
-
     size_t best = 0;
+    std::vector<int> controls;
     for (size_t k = 0; k < win.members.size(); ++k) {
         const Gate &g = circuit[win.members[k]];
-        std::vector<int> controls;
+        controls.clear();
         for (Qubit c : g.controls())
-            controls.push_back(local(c));
+            controls.push_back(localWire(win, c));
         if (g.kind() == GateKind::Swap) {
-            m.applySwap(controls, local(g.targets()[0]),
-                        local(g.targets()[1]));
+            m.applySwap(controls, localWire(win, g.targets()[0]),
+                        localWire(win, g.targets()[1]));
         } else {
-            m.applyGate(g.baseMatrix(), controls, local(g.target()));
+            m.applyGate(g.baseMatrix(), controls,
+                        localWire(win, g.target()));
         }
         if (k >= 1 && m.isIdentity())
             best = k + 1;
@@ -128,11 +147,62 @@ identityPrefix(const Circuit &circuit, const Window &win)
     return best;
 }
 
+/**
+ * The memo key of a window: everything identityPrefix reads. Width,
+ * then per member its kind, control and target counts, local wire
+ * indices, and the angle's bytes. Every field is fixed-width or
+ * count-prefixed, so distinct windows never share a key.
+ */
+void
+windowKey(const Circuit &circuit, const Window &win, std::string &key)
+{
+    key.clear();
+    key.push_back(static_cast<char>(win.wires.size()));
+    for (size_t i : win.members) {
+        const Gate &g = circuit[i];
+        key.push_back(static_cast<char>(g.kind()));
+        key.push_back(static_cast<char>(g.controls().size()));
+        key.push_back(static_cast<char>(g.targets().size()));
+        for (Qubit c : g.controls())
+            key.push_back(static_cast<char>(localWire(win, c)));
+        for (Qubit t : g.targets())
+            key.push_back(static_cast<char>(localWire(win, t)));
+        double param = g.param();
+        char bytes[sizeof param];
+        std::memcpy(bytes, &param, sizeof param);
+        key.append(bytes, sizeof param);
+    }
+}
+
+/** Exact identity: kind, wire lists in order, and the angle's bits. */
+bool
+sameGate(const Gate &a, const Gate &b)
+{
+    double pa = a.param(), pb = b.param();
+    return a.kind() == b.kind() && a.controls() == b.controls() &&
+           a.targets() == b.targets() &&
+           std::memcmp(&pa, &pb, sizeof pa) == 0;
+}
+
 } // namespace
 
 bool
-removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates)
+removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates,
+                      WindowMemo *memo)
 {
+    WindowMemo own_memo;
+    WindowMemo &known = memo != nullptr ? *memo : own_memo;
+    // The circuit this pass last returned holds no identity window; an
+    // exact copy of it (the optimizer's confirming round) needs no scan.
+    const std::vector<Gate> &gates = circuit.gates();
+    const std::pair limits{max_qubits, max_gates};
+    if (known.cleanLimits == limits &&
+        std::equal(gates.begin(), gates.end(), known.clean.begin(),
+                   known.clean.end(), sameGate))
+        return false;
+
+    Window win;
+    std::string key;
     bool any = false;
     bool changed = true;
 
@@ -144,14 +214,19 @@ removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates)
         for (size_t start = 0; start < circuit.size(); ++start) {
             if (used[start] || !isWindowable(circuit[start]))
                 continue;
-            Window win = collectWindow(circuit, start, max_qubits,
-                                       max_gates);
+            collectWindow(circuit, start, max_qubits, max_gates, win);
             if (win.members.size() < 2)
                 continue;
             if (std::any_of(win.members.begin(), win.members.end(),
                             [&](size_t i) { return used[i]; }))
                 continue;
-            size_t prefix = identityPrefix(circuit, win);
+            windowKey(circuit, win, key);
+            auto [it, fresh] = known.prefixes.try_emplace(key, 0);
+            if (fresh)
+                it->second = identityPrefix(circuit, win);
+            else
+                ++known.hits;
+            size_t prefix = it->second;
             if (prefix < 2)
                 continue;
             for (size_t k = 0; k < prefix; ++k) {
@@ -167,6 +242,8 @@ removeIdentityWindows(Circuit &circuit, int max_qubits, size_t max_gates)
             any = true;
         }
     }
+    known.clean = gates;
+    known.cleanLimits = limits;
     return any;
 }
 

@@ -34,6 +34,13 @@ constexpr size_t kMinShardSlots = 16;
  *  the bottleneck and the fixed per-shard footprint dominates. */
 constexpr size_t kMaxShards = 256;
 
+/** Starting sets of a fresh thread's mul/add and ct compute caches
+ *  (capped by the configured sets). Zero-filling full-size caches
+ *  costs more than a small check's whole build; growCaches doubles a
+ *  cache once it evicts as many entries as it holds. */
+constexpr size_t kInitialCacheSets = size_t{1} << 10;
+constexpr size_t kInitialCtCacheSets = size_t{1} << 8;
+
 size_t
 nextPowerOfTwo(size_t v)
 {
@@ -84,15 +91,12 @@ Package::Package() : Package(PackageConfig{})
 
 Package::Package(const PackageConfig &config)
     : serial_(g_package_serial.fetch_add(1, std::memory_order_relaxed)),
-      mul_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                        config.mulCacheSets, 16))),
-      add_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                        config.addCacheSets, 16))),
-      ct_ways_(2 * nextPowerOfTwo(std::max<size_t>(
-                       config.ctCacheSets, 16))),
-      mul_set_mask_(mul_ways_ / 2 - 1),
-      add_set_mask_(add_ways_ / 2 - 1),
-      ct_set_mask_(ct_ways_ / 2 - 1),
+      mul_max_sets_(
+          nextPowerOfTwo(std::max<size_t>(config.mulCacheSets, 16))),
+      add_max_sets_(
+          nextPowerOfTwo(std::max<size_t>(config.addCacheSets, 16))),
+      ct_max_sets_(
+          nextPowerOfTwo(std::max<size_t>(config.ctCacheSets, 16))),
       gc_threshold_(std::max(config.gcThreshold, kMinGcThreshold)),
       min_gc_threshold_(
           std::max(config.gcThreshold, kMinGcThreshold))
@@ -143,9 +147,10 @@ Package::contextSlow() const
     if (it != map.end())
         return it->second;
     auto owned = std::make_unique<WorkerContext>();
-    owned->mul_cache.resize(mul_ways_);
-    owned->add_cache.resize(add_ways_);
-    owned->ct_cache.resize(ct_ways_);
+    owned->mul_cache.reset(std::min(mul_max_sets_, kInitialCacheSets));
+    owned->add_cache.reset(std::min(add_max_sets_, kInitialCacheSets));
+    owned->ct_cache.reset(std::min(ct_max_sets_, kInitialCtCacheSets));
+    noteCacheBytes(*owned);
     WorkerContext *ctx = owned.get();
     {
         std::lock_guard<std::mutex> lock(ctx_mu_);
@@ -153,6 +158,36 @@ Package::contextSlow() const
     }
     map.emplace(serial_, ctx);
     return ctx;
+}
+
+void
+Package::growCaches(WorkerContext &ctx)
+{
+    bool grew = false;
+    auto grow = [&](auto &cache, size_t max_sets) {
+        if (cache.pressure < cache.ways.size() || cache.sets() >= max_sets)
+            return;
+        // The entries are dropped, not rehashed: a cache under this
+        // much pressure refills within one operation.
+        cache.reset(2 * cache.sets());
+        ctx.stats.bump(ctx.stats.cacheResizes);
+        grew = true;
+    };
+    grow(ctx.mul_cache, mul_max_sets_);
+    grow(ctx.add_cache, add_max_sets_);
+    grow(ctx.ct_cache, ct_max_sets_);
+    if (grew)
+        noteCacheBytes(ctx);
+}
+
+void
+Package::noteCacheBytes(WorkerContext &ctx)
+{
+    ctx.stats.cacheBytes.store(
+        ctx.mul_cache.ways.size() * sizeof(MulSlot) +
+            ctx.add_cache.ways.size() * sizeof(AddSlot) +
+            ctx.ct_cache.ways.size() * sizeof(CtSlot),
+        std::memory_order_relaxed);
 }
 
 Package::UniqueShard &
@@ -396,7 +431,9 @@ Package::mulWeights(const Cplx *a, const Cplx *b)
 Edge
 Package::multiply(const Edge &a, const Edge &b)
 {
-    return multiplyImpl(*context(), a, b);
+    WorkerContext &ctx = *context();
+    growCaches(ctx);
+    return multiplyImpl(ctx, a, b);
 }
 
 Edge
@@ -422,8 +459,7 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
     if (isTerminal(y))
         return Edge{x, ctab_.one()};
 
-    size_t set = hashCombine(hashPtr(x), hashPtr(y)) & mul_set_mask_;
-    MulSlot *w0 = &ctx.mul_cache[2 * set];
+    MulSlot *w0 = ctx.mul_cache.set(hashCombine(hashPtr(x), hashPtr(y)));
     MulSlot *w1 = w0 + 1;
     ctx.stats.bump(ctx.stats.computeLookups);
     if (w0->a == x && w0->b == y) {
@@ -459,8 +495,10 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
                       : w1->a == nullptr ? w1
                       : w0->age != 0     ? w0
                                          : w1;
-    if (victim->a != nullptr)
+    if (victim->a != nullptr) {
         ctx.stats.bump(ctx.stats.mulEvictions);
+        ++ctx.mul_cache.pressure;
+    }
     *victim = MulSlot{x, y, result, 0};
     (victim == w0 ? w1 : w0)->age = 1;
     return result;
@@ -469,7 +507,9 @@ Package::mulNodes(WorkerContext &ctx, Node *x, Node *y)
 Edge
 Package::add(const Edge &a, const Edge &b)
 {
-    return addImpl(*context(), a, b);
+    WorkerContext &ctx = *context();
+    growCaches(ctx);
+    return addImpl(ctx, a, b);
 }
 
 Edge
@@ -492,8 +532,7 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
     if (std::make_pair(kb.node, kb.weight) <
         std::make_pair(ka.node, ka.weight))
         std::swap(ka, kb);
-    size_t set = hashCombine(hashEdge(ka), hashEdge(kb)) & add_set_mask_;
-    AddSlot *w0 = &ctx.add_cache[2 * set];
+    AddSlot *w0 = ctx.add_cache.set(hashCombine(hashEdge(ka), hashEdge(kb)));
     AddSlot *w1 = w0 + 1;
     ctx.stats.bump(ctx.stats.computeLookups);
     if (w0->valid && w0->a == ka && w0->b == kb) {
@@ -530,8 +569,10 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
                       : !w1->valid   ? w1
                       : w0->age != 0 ? w0
                                      : w1;
-    if (victim->valid)
+    if (victim->valid) {
         ctx.stats.bump(ctx.stats.addEvictions);
+        ++ctx.add_cache.pressure;
+    }
     *victim = AddSlot{ka, kb, result, true, 0};
     (victim == w0 ? w1 : w0)->age = 1;
     return result;
@@ -540,7 +581,9 @@ Package::addImpl(WorkerContext &ctx, const Edge &a, const Edge &b)
 Edge
 Package::conjugateTranspose(const Edge &a)
 {
-    return ctImpl(*context(), a);
+    WorkerContext &ctx = *context();
+    growCaches(ctx);
+    return ctImpl(ctx, a);
 }
 
 Edge
@@ -550,8 +593,7 @@ Package::ctImpl(WorkerContext &ctx, const Edge &a)
     if (isTerminal(a.node)) {
         r = identityEdge();
     } else {
-        size_t set = hashPtr(a.node) & ct_set_mask_;
-        CtSlot *w0 = &ctx.ct_cache[2 * set];
+        CtSlot *w0 = ctx.ct_cache.set(hashPtr(a.node));
         CtSlot *w1 = w0 + 1;
         ctx.stats.bump(ctx.stats.computeLookups);
         if (w0->a == a.node) {
@@ -577,8 +619,10 @@ Package::ctImpl(WorkerContext &ctx, const Edge &a)
                              : w1->a == nullptr ? w1
                              : w0->age != 0     ? w0
                                                 : w1;
-            if (victim->a != nullptr)
+            if (victim->a != nullptr) {
                 ctx.stats.bump(ctx.stats.ctEvictions);
+                ++ctx.ct_cache.pressure;
+            }
             *victim = CtSlot{a.node, r, 0};
             (victim == w0 ? w1 : w0)->age = 1;
         }
@@ -671,6 +715,7 @@ Package::buildCircuit(const Circuit &circuit)
     for (const Gate &g : circuit) {
         if (g.kind() == GateKind::Barrier)
             continue;
+        growCaches(ctx);
         e = multiplyImpl(ctx, gateDD(g), e);
         if (live_nodes_.load(std::memory_order_relaxed) >
             gc_threshold_.load(std::memory_order_relaxed))
@@ -817,6 +862,14 @@ size_t
 Package::arenaBytes() const
 {
     return arenaNodes() * sizeof(Node);
+}
+
+Package::CacheSets
+Package::computeCacheSets() const
+{
+    const WorkerContext &ctx = *context();
+    return {ctx.mul_cache.sets(), ctx.add_cache.sets(),
+            ctx.ct_cache.sets()};
 }
 
 size_t
@@ -968,15 +1021,17 @@ Package::sweepLocked(const std::vector<Edge> &extra_roots)
 
     {
         // Every thread's compute caches may hold freed nodes; clear
-        // them all. Non-parked contexts belong to threads that are not
-        // mutating (contract), so this cannot race.
+        // them all at their current sizes. Non-parked contexts belong
+        // to threads that are not mutating (contract), and only an
+        // owner between operations resizes, so this cannot race.
         std::lock_guard<std::mutex> clock(ctx_mu_);
         for (const auto &c : contexts_) {
-            std::fill(c->mul_cache.begin(), c->mul_cache.end(),
+            std::fill(c->mul_cache.ways.begin(), c->mul_cache.ways.end(),
                       MulSlot{});
-            std::fill(c->add_cache.begin(), c->add_cache.end(),
+            std::fill(c->add_cache.ways.begin(), c->add_cache.ways.end(),
                       AddSlot{});
-            std::fill(c->ct_cache.begin(), c->ct_cache.end(), CtSlot{});
+            std::fill(c->ct_cache.ways.begin(), c->ct_cache.ways.end(),
+                      CtSlot{});
             c->mag_cache.clear();
             if (c->parked) {
                 c->parked = false;
@@ -1036,6 +1091,10 @@ Package::stats() const
                 l.addEvictions.load(std::memory_order_relaxed);
             s.ctEvictions +=
                 l.ctEvictions.load(std::memory_order_relaxed);
+            s.computeCacheBytes +=
+                l.cacheBytes.load(std::memory_order_relaxed);
+            s.computeCacheResizes +=
+                l.cacheResizes.load(std::memory_order_relaxed);
         }
     }
     for (const UniqueShard &shard : shards_) {
@@ -1062,6 +1121,9 @@ Package::threadStats() const
     s.mulEvictions = l.mulEvictions.load(std::memory_order_relaxed);
     s.addEvictions = l.addEvictions.load(std::memory_order_relaxed);
     s.ctEvictions = l.ctEvictions.load(std::memory_order_relaxed);
+    s.computeCacheBytes = l.cacheBytes.load(std::memory_order_relaxed);
+    s.computeCacheResizes =
+        l.cacheResizes.load(std::memory_order_relaxed);
     for (const UniqueShard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mu);
         s.uniqueRehashes += shard.rehashes;
@@ -1106,6 +1168,10 @@ Package::publishMetrics(const char *prefix) const
                static_cast<double>(st.addEvictions));
     m.setGauge(p + ".ct_evictions",
                static_cast<double>(st.ctEvictions));
+    m.setGauge(p + ".compute_cache_bytes",
+               static_cast<double>(st.computeCacheBytes));
+    m.setGauge(p + ".compute_cache_resizes",
+               static_cast<double>(st.computeCacheResizes));
     m.setGauge(p + ".multiplies", static_cast<double>(st.multiplies));
     m.setGauge(p + ".additions", static_cast<double>(st.additions));
     m.setGauge(p + ".gc_runs", static_cast<double>(st.gcRuns));

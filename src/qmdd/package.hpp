@@ -19,7 +19,10 @@
  *  - the mul/add/ct compute caches are 2-way set-associative with a
  *    one-bit age per way and are **per thread** (a WorkerContext is
  *    created lazily for every thread that touches the package), so the
- *    single-thread hot path probes them without any synchronization;
+ *    single-thread hot path probes them without any synchronization.
+ *    They start small and double on their owner thread under eviction
+ *    pressure, up to the configured sets, so a small check does not
+ *    pay for tables sized for a large one;
  *  - complex-weight interning (ComplexTable) probes lock-free and
  *    serializes only first-time inserts, so weight-pointer canonicity
  *    holds across threads.
@@ -74,6 +77,10 @@ struct PackageStats
     size_t mulEvictions = 0;
     size_t addEvictions = 0;
     size_t ctEvictions = 0;
+    /** Bytes the compute caches currently hold, summed over caches. */
+    size_t computeCacheBytes = 0;
+    /** Times a compute cache doubled under eviction pressure. */
+    size_t computeCacheResizes = 0;
     size_t gcRuns = 0;
     /** High-water mark of *live* nodes: tracked at unique-table insert,
      *  so hits and free-list recycling do not inflate it. */
@@ -112,7 +119,10 @@ struct PackageConfig
      *  mean less lock contention between concurrent workers; 1 gives
      *  the classic single-table layout. */
     size_t uniqueShards = 16;
-    /** Sets per compute cache (each set holds 2 ways, per thread). */
+    /** Ceiling on the sets of each per-thread compute cache (each set
+     *  holds 2 ways). A cache starts at min(ceiling, 2^10) sets (ct:
+     *  2^8) and doubles on its owner thread once its evictions since
+     *  the last resize reach its slot count, never past the ceiling. */
     size_t mulCacheSets = size_t{1} << 16;
     size_t addCacheSets = size_t{1} << 15;
     size_t ctCacheSets = size_t{1} << 12;
@@ -241,6 +251,14 @@ class Package
     size_t arenaBytes() const;
     /** Reclaimed nodes awaiting reuse, summed over shards. */
     size_t freeListLength() const;
+    /** Current sets of the calling thread's compute caches. */
+    struct CacheSets
+    {
+        size_t mul = 0;
+        size_t add = 0;
+        size_t ct = 0;
+    };
+    CacheSets computeCacheSets() const;
     /** Exact merged counter snapshot: per-thread counters summed over
      *  every worker context plus the shard/global counters. */
     PackageStats stats() const;
@@ -253,7 +271,8 @@ class Package
      * Publish the package's counters as `<prefix>.*` gauges on the
      * installed obs sink: live/peak nodes, table lookup/hit counts and
      * rates, allocator internals (arena size, free-list length), table
-     * capacity/load factor, per-cache eviction counts, and the
+     * capacity/load factor, per-cache eviction counts, compute-cache
+     * bytes and resizes, and the
      * `<prefix>.shard.*` lock-contention gauges. No-op when
      * observability is off; last package published wins on collisions.
      */
@@ -349,12 +368,45 @@ class Package
         std::atomic<size_t> mulEvictions{0};
         std::atomic<size_t> addEvictions{0};
         std::atomic<size_t> ctEvictions{0};
+        /** Written by the owner on every resize; read by stats(). */
+        std::atomic<size_t> cacheBytes{0};
+        std::atomic<size_t> cacheResizes{0};
 
         void
         bump(std::atomic<size_t> &c)
         {
             c.store(c.load(std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
+        }
+    };
+
+    /** One per-thread compute cache: `ways` holds 2 ways per set. Only
+     *  its owner thread resizes it, and only between top-level
+     *  operations (growCaches), because the recursive kernels hold
+     *  pointers into `ways`. */
+    template <class Slot>
+    struct ComputeCache
+    {
+        std::vector<Slot> ways;
+        size_t setMask = 0;
+        /** Evictions since the last resize. */
+        size_t pressure = 0;
+
+        Slot *
+        set(size_t hash)
+        {
+            return &ways[2 * (hash & setMask)];
+        }
+        size_t sets() const { return setMask + 1; }
+        /** Drop every entry and use `sets` sets. The old table is freed
+         *  first, so a resize never holds both. */
+        void
+        reset(size_t sets)
+        {
+            ways = std::vector<Slot>();
+            ways.resize(2 * sets);
+            setMask = sets - 1;
+            pressure = 0;
         }
     };
 
@@ -366,9 +418,9 @@ class Package
      */
     struct alignas(64) WorkerContext
     {
-        std::vector<MulSlot> mul_cache;
-        std::vector<AddSlot> add_cache;
-        std::vector<CtSlot> ct_cache;
+        ComputeCache<MulSlot> mul_cache;
+        ComputeCache<AddSlot> add_cache;
+        ComputeCache<CtSlot> ct_cache;
         std::unordered_map<const Node *, double> mag_cache;
         LocalStats stats;
         /** Session nesting depth; touched only by the owner thread. */
@@ -406,6 +458,13 @@ class Package
 
     void beginSession();
     void endSession();
+
+    /** Double each of `ctx`'s caches whose evictions since its last
+     *  resize reached its slot count, up to the configured sets. Called
+     *  only at top-level entries (never inside the recursion). */
+    void growCaches(WorkerContext &ctx);
+    /** Publish `ctx`'s cache footprint to its counters. */
+    static void noteCacheBytes(WorkerContext &ctx);
 
     /** The sweep itself; caller holds gc_mu_. Marks `extra_roots` plus
      *  every parked context's roots, sweeps each shard (under its
@@ -448,9 +507,9 @@ class Package
     std::deque<UniqueShard> shards_;
     size_t shard_mask_;
 
-    /** Compute-cache geometry shared by every worker context. */
-    size_t mul_ways_, add_ways_, ct_ways_;
-    size_t mul_set_mask_, add_set_mask_, ct_set_mask_;
+    /** Per-cache set ceilings (powers of 2) shared by every worker
+     *  context. */
+    size_t mul_max_sets_, add_max_sets_, ct_max_sets_;
 
     mutable std::mutex ctx_mu_;
     mutable std::vector<std::unique_ptr<WorkerContext>> contexts_;

@@ -390,3 +390,131 @@ TEST_P(PassEquivalenceProperty, EachPassAloneIsExactOnRandomNct)
 
 INSTANTIATE_TEST_SUITE_P(FiftySeeds, PassEquivalenceProperty,
                          ::testing::Range(400, 450));
+
+// ---------------------------------------------------------------------
+// Identity-window memo: a warm memo must answer exactly as a cold scan,
+// for the pass alone and inside the optimizer's fixed point.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A random 6-wire circuit with identity windows planted at random
+ * positions: random Clifford+T/rotation gates on three wires followed
+ * by their inverses, and cx(a,b) x(a) cx(a,b) x(b) x(a), which no
+ * other pass reduces.
+ */
+Circuit
+plantedIdentityCircuit(std::uint64_t seed)
+{
+    Rng rng(seed);
+    RandomCircuitOptions host_opts;
+    host_opts.numQubits = 6;
+    host_opts.numGates = 40;
+    host_opts.allowRotations = true;
+    Circuit c = randomCircuit(rng, host_opts);
+    for (int plant = 0; plant < 3; ++plant) {
+        std::vector<Qubit> wires = {0, 1, 2, 3, 4, 5};
+        for (size_t i = 0; i < 3; ++i)
+            std::swap(wires[i], wires[i + rng.below(6 - i)]);
+        wires.resize(3);
+        RandomCircuitOptions block_opts;
+        block_opts.numQubits = 3;
+        block_opts.numGates = 2 + rng.below(5);
+        block_opts.allowRotations = true;
+        Circuit block = randomCircuit(rng, block_opts).remapped(wires, 6);
+        std::vector<Gate> planted(block.gates());
+        for (auto it = block.gates().rbegin(); it != block.gates().rend();
+             ++it)
+            planted.push_back(it->inverse());
+        Qubit a = wires[0], b = wires[1];
+        planted.push_back(Gate::cnot(a, b));
+        planted.push_back(Gate::x(a));
+        planted.push_back(Gate::cnot(a, b));
+        planted.push_back(Gate::x(b));
+        planted.push_back(Gate::x(a));
+        size_t at = rng.below(c.size() + 1);
+        for (const Gate &g : planted)
+            c.insert(at++, g);
+    }
+    return c;
+}
+
+/** The optimizer's driver loop with a fresh window memo on every call:
+ *  the cold reference for optimizeCircuit's shared memo. */
+Circuit
+optimizeCold(Circuit c, size_t *window_removed)
+{
+    opt::OptimizerOptions o;
+    opt::CostModel model(o.weights);
+    double cost = model.cost(c);
+    *window_removed = 0;
+    for (int round = 0; round < o.maxRounds; ++round) {
+        bool changed = opt::cancelInversePairs(c);
+        changed |= opt::mergeRotations(c);
+        changed |= opt::applyHadamardRules(c, nullptr);
+        size_t before = c.size();
+        changed |= opt::removeIdentityWindows(c, o.windowQubits,
+                                              o.windowGates);
+        *window_removed += before - c.size();
+        double next = model.cost(c);
+        if (!changed || next >= cost)
+            break;
+        cost = next;
+    }
+    return c;
+}
+
+} // namespace
+
+class WindowMemoProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(WindowMemoProperty, WarmMemoMatchesColdScan)
+{
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    Circuit input = plantedIdentityCircuit(seed);
+
+    Circuit cold = input;
+    bool cold_changed = opt::removeIdentityWindows(cold);
+    EXPECT_TRUE(cold_changed) << "seed " << seed;
+
+    // Warm the memo on another planted circuit and on this one, then
+    // scan a fresh copy: every window it meets was seen before.
+    opt::WindowMemo memo;
+    Circuit other = plantedIdentityCircuit(seed + 1000);
+    opt::removeIdentityWindows(other, 3, 16, &memo);
+    Circuit primer = input;
+    opt::removeIdentityWindows(primer, 3, 16, &memo);
+    const size_t entries = memo.prefixes.size();
+    const size_t hits = memo.hits;
+    Circuit warm = input;
+    bool warm_changed = opt::removeIdentityWindows(warm, 3, 16, &memo);
+    EXPECT_EQ(warm_changed, cold_changed) << "seed " << seed;
+    EXPECT_EQ(warm, cold) << "seed " << seed;
+    EXPECT_EQ(memo.prefixes.size(), entries) << "seed " << seed;
+    EXPECT_GT(memo.hits, hits) << "seed " << seed;
+    // What the pass returned is clean: a rescan is skipped outright.
+    const size_t hits_after = memo.hits;
+    EXPECT_FALSE(opt::removeIdentityWindows(warm, 3, 16, &memo));
+    EXPECT_EQ(warm, cold) << "seed " << seed;
+    EXPECT_EQ(memo.hits, hits_after) << "seed " << seed;
+
+    // optimizeCircuit shares one memo across its rounds; it must reach
+    // the same circuit and window yield as the cold driver.
+    size_t cold_removed = 0;
+    Circuit cold_opt = optimizeCold(input, &cold_removed);
+    opt::OptimizeReport report;
+    Circuit warm_opt = opt::optimizeCircuit(input, {}, &report);
+    EXPECT_EQ(warm_opt, cold_opt) << "seed " << seed;
+    size_t warm_removed = 0;
+    for (const opt::PassReport &p : report.passes) {
+        if (std::string(p.name) == "window_identity")
+            warm_removed = p.gatesRemoved;
+    }
+    EXPECT_EQ(warm_removed, cold_removed) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(FiftySeeds, WindowMemoProperty,
+                         ::testing::Range(700, 750));

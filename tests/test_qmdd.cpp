@@ -506,3 +506,95 @@ TEST(Qmdd, ComputeCachesAreNotStaleAfterGc)
     EXPECT_NEAR(pkg.maxMagnitude(e), fresh.maxMagnitude(fresh_e),
                 1e-12);
 }
+
+TEST(Qmdd, ComputeCacheGrowsUnderPressureUpToConfiguredSets)
+{
+    // Caches start at min(configured, 2^10) sets (ct: 2^8), double only
+    // once their evictions since the last resize reach their slot count
+    // (2 ways per set), and never pass the configured sets.
+    dd::PackageConfig cfg;
+    cfg.mulCacheSets = size_t{1} << 11;
+    cfg.addCacheSets = size_t{1} << 11;
+    cfg.ctCacheSets = size_t{1} << 9;
+    Package pkg(cfg);
+    Package::CacheSets start = pkg.computeCacheSets();
+    EXPECT_EQ(start.mul, size_t{1} << 10);
+    EXPECT_EQ(start.add, size_t{1} << 10);
+    EXPECT_EQ(start.ct, size_t{1} << 8);
+    const size_t start_bytes = pkg.threadStats().computeCacheBytes;
+    EXPECT_GT(start_bytes, 0u);
+
+    Rng rng(41);
+    RandomCircuitOptions opts;
+    opts.numQubits = 6;
+    opts.numGates = 120;
+    opts.maxControls = 2;
+    Circuit c = randomCircuit(rng, opts);
+
+    struct Tracked
+    {
+        size_t sets;
+        size_t base; ///< evictions at the last resize
+        size_t ceiling;
+        size_t resizes;
+    };
+    Tracked mul{start.mul, 0, cfg.mulCacheSets, 0};
+    Tracked add{start.add, 0, cfg.addCacheSets, 0};
+    Tracked ct{start.ct, 0, cfg.ctCacheSets, 0};
+    // Before a top-level call the rule says exactly which caches grow.
+    auto step = [](Tracked &t, size_t evictions, size_t now) {
+        bool due = evictions - t.base >= 2 * t.sets && t.sets < t.ceiling;
+        EXPECT_EQ(now, due ? 2 * t.sets : t.sets);
+        EXPECT_LE(now, t.ceiling);
+        if (now != t.sets) {
+            t.base = evictions;
+            ++t.resizes;
+        }
+        t.sets = now;
+    };
+    auto checked = [&](auto &&op) {
+        dd::PackageStats before = pkg.threadStats();
+        op();
+        Package::CacheSets now = pkg.computeCacheSets();
+        step(mul, before.mulEvictions, now.mul);
+        step(add, before.addEvictions, now.add);
+        step(ct, before.ctEvictions, now.ct);
+    };
+    // Plain multiply/conjugateTranspose: no GC, every edge stays live.
+    auto build = [&] {
+        Edge e = pkg.identityEdge();
+        for (size_t i = 0; i < c.size(); ++i) {
+            Edge gate = pkg.gateDD(c[i]);
+            checked([&] { e = pkg.multiply(gate, e); });
+            if (i % 4 == 3) // exercise the conjugate-transpose cache
+                checked([&] { (void)pkg.conjugateTranspose(e); });
+        }
+        return e;
+    };
+    Edge e = build();
+    // The workload drives every cache to its ceiling.
+    EXPECT_EQ(mul.sets, cfg.mulCacheSets);
+    EXPECT_EQ(add.sets, cfg.addCacheSets);
+    EXPECT_EQ(ct.sets, cfg.ctCacheSets);
+    dd::PackageStats st = pkg.threadStats();
+    EXPECT_EQ(st.computeCacheResizes,
+              mul.resizes + add.resizes + ct.resizes);
+    EXPECT_GT(st.computeCacheBytes, start_bytes);
+
+    // A rebuild in the grown package lands on the identical root edge,
+    // and it is the matrix a package that never grows computes.
+    Edge again = build();
+    EXPECT_EQ(again, e);
+    EXPECT_EQ(pkg.threadStats().computeCacheResizes,
+              st.computeCacheResizes);
+    expectMatchesDense(pkg, e, denseOf(c), 6);
+    dd::PackageConfig fixed_cfg;
+    fixed_cfg.mulCacheSets = 256;
+    fixed_cfg.addCacheSets = 256;
+    fixed_cfg.ctCacheSets = 64;
+    Package fixed(fixed_cfg);
+    Edge reference = fixed.buildCircuit(c);
+    EXPECT_EQ(fixed.computeCacheSets().mul, 256u);
+    EXPECT_EQ(fixed.stats().computeCacheResizes, 0u);
+    expectMatchesDense(fixed, reference, denseOf(c), 6);
+}

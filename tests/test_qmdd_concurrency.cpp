@@ -352,3 +352,34 @@ TEST(QmddConcurrency, SharedTableKeepsPeakNodesBelowSumOfPrivatePeaks)
     onThreads(kThreads, [&](size_t) { (void)shared.buildCircuit(c); });
     EXPECT_LT(shared.stats().peakNodes, private_sum);
 }
+
+TEST(QmddConcurrency, PerThreadCachesGrowWhileGcSweeps)
+{
+    // Every thread's caches start small and grow on their owner thread
+    // while automatic sweeps (tiny threshold) clear all of them. A
+    // resize happens only between top-level operations and a sweep only
+    // while every session is parked between gates, so the two never
+    // meet; each thread's result must still match the dense reference.
+    PackageConfig cfg;
+    cfg.gcThreshold = 2048;
+    Package pkg(cfg);
+    constexpr size_t kThreads = 4;
+    std::vector<Circuit> circuits;
+    for (size_t t = 0; t < kThreads; ++t)
+        circuits.push_back(makeRandom(6, 160, 500 + t));
+    std::vector<Package::CacheSets> sets(kThreads);
+    onThreads(kThreads, [&](size_t t) {
+        Package::Session session(pkg);
+        Edge root = pkg.buildCircuit(circuits[t]);
+        expectMatchesDense(pkg, root, denseOf(circuits[t]), 6);
+        sets[t] = pkg.computeCacheSets();
+    });
+    PackageStats st = pkg.stats();
+    EXPECT_GT(st.gcRuns, 0u);
+    EXPECT_GT(st.computeCacheResizes, 0u);
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_GE(sets[t].mul, size_t{1} << 10) << "thread " << t;
+        EXPECT_LE(sets[t].mul, cfg.mulCacheSets) << "thread " << t;
+        EXPECT_LE(sets[t].add, cfg.addCacheSets) << "thread " << t;
+    }
+}
