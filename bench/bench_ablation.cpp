@@ -8,7 +8,7 @@
  *      96-qubit machine.
  *   B. Cost-function weights - how Eqn. 2 vs T-heavy vs volume-only
  *      weights change what the optimizer reports.
- *   C. CTR path policy - control-walks (paper) vs meet-in-the-middle.
+ *   C. Router - CTR (paper) vs sabre lookahead.
  *   D. Placement - identity (paper) vs greedy interaction placement.
  */
 
@@ -104,11 +104,11 @@ ablationCostWeights()
 void
 ablationRoutePolicy()
 {
-    std::cout << "=== Ablation C: CTR policy - control-walks (paper) vs "
-                 "meet-in-the-middle vs dynamic layout ===\n\n";
-    TablePrinter table({"Benchmark", "Device", "CTR gates", "MiM gates",
-                        "Dyn gates", "CTR opt cost", "MiM opt cost",
-                        "Dyn opt cost"});
+    std::cout << "=== Ablation C: router - CTR (paper) vs sabre "
+                 "lookahead ===\n\n";
+    TablePrinter table({"Benchmark", "Device", "CTR SWAPs", "Sabre SWAPs",
+                        "CTR gates", "Sabre gates", "CTR opt cost",
+                        "Sabre opt cost"});
     const auto &suite = singleTargetSuite();
     for (const char *name : {"#0356", "#033f", "#000f"}) {
         auto it = std::find_if(
@@ -121,23 +121,18 @@ ablationRoutePolicy()
             Compiler ctr(dev, ctr_opts);
             CompileResult a = ctr.compile(input);
 
-            CompileOptions mim_opts;
-            mim_opts.routing.meetInMiddle = true;
-            Compiler mim(dev, mim_opts);
-            CompileResult b = mim.compile(input);
-
-            CompileOptions dyn_opts;
-            dyn_opts.routing.dynamicLayout = true;
-            Compiler dyn(dev, dyn_opts);
-            CompileResult d = dyn.compile(input);
+            CompileOptions sabre_opts;
+            sabre_opts.routing.router = route::RouterKind::Sabre;
+            Compiler sabre(dev, sabre_opts);
+            CompileResult b = sabre.compile(input);
 
             table.addRow({name, dev_name,
+                          std::to_string(a.routeStats.swapsInserted),
+                          std::to_string(b.routeStats.swapsInserted),
                           std::to_string(a.unoptimized.gates),
                           std::to_string(b.unoptimized.gates),
-                          std::to_string(d.unoptimized.gates),
                           formatNumber(a.optimizedM.cost, 2),
-                          formatNumber(b.optimizedM.cost, 2),
-                          formatNumber(d.optimizedM.cost, 2)});
+                          formatNumber(b.optimizedM.cost, 2)});
         }
     }
     table.print(std::cout);

@@ -40,7 +40,7 @@ struct Reproducer
 
 /**
  * Serialize the non-default fields of `options` as qsync command-line
- * tokens ("--mcx clean", "--meet-in-middle", ...). The inverse of
+ * tokens ("--mcx clean", "--fidelity-aware", ...). The inverse of
  * compileOptionsFromFlags; a default options set serializes to {}.
  */
 std::vector<std::string>

@@ -132,8 +132,6 @@ generateCase(Rng &rng, const FuzzOptions &opts, std::uint64_t case_seed)
                                         ? route::RouterKind::Sabre
                                         : route::RouterKind::Ctr;
     }
-    fc.options.routing.meetInMiddle = rng.chance(0.25);
-    fc.options.routing.dynamicLayout = rng.chance(0.25);
     fc.options.routing.fidelityAware = rng.chance(0.15);
     fc.options.optimizer.enablePhasePolynomial = rng.chance(0.25);
     fc.options.optimizeTechIndependent = rng.chance(0.85);

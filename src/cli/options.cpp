@@ -133,10 +133,6 @@ parseCliArguments(const std::vector<std::string> &args)
         } else if (arg == "--mcx") {
             opts.compile.mcxStrategy =
                 strategyFromName(next_value(arg));
-        } else if (arg == "--meet-in-middle") {
-            opts.compile.routing.meetInMiddle = true;
-        } else if (arg == "--dynamic-layout") {
-            opts.compile.routing.dynamicLayout = true;
         } else if (arg == "--fidelity-aware") {
             opts.compile.routing.fidelityAware = true;
         } else if (arg == "--test-omit-swap-back") {
@@ -248,6 +244,23 @@ parseCliArguments(const std::vector<std::string> &args)
             remoteReject(!opts.rebase.empty(), "--rebase");
             remoteReject(!opts.cacheDir.empty(), "--cache-dir");
             remoteReject(opts.testCrash, "--test-crash");
+            // The compile request carries device, optimize, verify,
+            // placement, router and deadline; every other compile
+            // option would be dropped on the wire.
+            const CompileOptions defaults;
+            const CompileOptions &c = opts.compile;
+            const opt::CostWeights &w = c.optimizer.weights;
+            const opt::CostWeights &dw = defaults.optimizer.weights;
+            remoteReject(c.mcxStrategy != defaults.mcxStrategy, "--mcx");
+            remoteReject(c.optimizer.enablePhasePolynomial,
+                         "--phase-poly");
+            remoteReject(w.tWeight != dw.tWeight, "--weight-t");
+            remoteReject(w.cnotWeight != dw.cnotWeight, "--weight-cnot");
+            remoteReject(w.gateWeight != dw.gateWeight, "--weight-gate");
+            remoteReject(!c.optimizeTechIndependent, "--no-ti-optimize");
+            remoteReject(c.routing.fidelityAware, "--fidelity-aware");
+            remoteReject(c.routing.testOmitSwapBack,
+                         "--test-omit-swap-back");
         }
     }
     return opts;
@@ -280,8 +293,6 @@ cliHelpText()
         "      --router <r>         ctr (paper reference) | sabre\n"
         "                           (DAG-lookahead, fewer SWAPs)\n"
         "      --mcx <s>            auto|clean|dirty|split|roots\n"
-        "      --meet-in-middle     CTR variant: move both endpoints\n"
-        "      --dynamic-layout     persistent-swap routing variant\n"
         "      --fidelity-aware     route around high-error couplings\n"
         "      --phase-poly         phase-polynomial T-count reduction\n"
         "      --weight-t <w>       Eqn. 2 T-gate weight (default 0.5)\n"

@@ -5,7 +5,9 @@
  * returned QASM and report verbatim — the daemon renders both with
  * the same writer the local path uses, so `qsync --remote` and
  * `qsync --report-deterministic` produce byte-identical artifacts for
- * the same inputs and flags.
+ * the same inputs and the flags the request carries (device,
+ * optimize, verify, placement, router, deadline). parseCliArguments
+ * rejects every other compile flag under --remote.
  */
 
 #include "cli/options.hpp"

@@ -6,8 +6,8 @@
  * Design rules:
  *  - With no sink installed every instrumentation call reduces to one
  *    relaxed atomic load and a branch on a null pointer, so the hot
- *    compile path pays nothing when tracing is off (bench_micro's
- *    BM_ObsSpanDisabled / BM_ObsCounterDisabled measure this).
+ *    compile path pays nothing when tracing is off (qbench's
+ *    obs_span_off / obs_counter_off scenarios measure this).
  *  - The sink is process-global but *not* owned globally: callers (CLI
  *    drivers, tests) create a Sink on their stack and install it for a
  *    scope (see ScopedSink).

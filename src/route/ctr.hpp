@@ -23,10 +23,9 @@
 namespace qsyn::route {
 
 /**
- * The CTR backend (plus its meet-in-middle and dynamic-layout
- * variants, selected through `options`). Called by the dispatcher in
- * router.cpp after the width check; use `routeCircuit` instead unless
- * you specifically want to bypass strategy selection.
+ * The CTR backend. Called by `routeCircuit` after the width check;
+ * use `routeCircuit` instead unless you specifically want to bypass
+ * strategy selection.
  */
 Circuit routeCtr(const Circuit &circuit, const Device &device,
                  RouteStats *stats, const RouteOptions &options);

@@ -1,14 +1,13 @@
 /**
  * @file
- * Routing as a strategy: shared stats/options types, the `Router`
- * interface, and the dispatching `routeCircuit` entry point.
+ * Routing as a strategy: shared stats/options types and the
+ * `routeCircuit` entry point, which switches on `RouteOptions::router`.
  *
- * Two backends exist today:
+ * Two strategies exist:
  *
  *  - `ctr` (route/ctr.hpp): the paper's Connectivity Tree Reroute —
  *    walk gates in program order, pay a SWAP chain (and swap-back)
- *    per distant CNOT. Reference semantics; also provides the
- *    meet-in-middle and dynamic-layout variants.
+ *    per distant CNOT. Reference semantics.
  *  - `sabre` (route/sabre.hpp): SABRE-style lookahead routing over
  *    the commutation-aware dependency DAG — SWAPs are scored against
  *    the frontier of ready CNOTs plus a decayed lookahead window and
@@ -58,23 +57,16 @@ struct RouteStats
      *  swapsInserted; 0 under ctr). */
     size_t lookaheadSwaps = 0;
     /** SWAPs spent restoring the identity layout in the epilogue
-     *  (subset of swapsInserted; 0 under swap-back ctr). */
+     *  (subset of swapsInserted; 0 under ctr). */
     size_t restoreSwaps = 0;
 };
 
-/** Routing options. */
+/** Routing options: the strategy plus knobs that both strategies
+ *  honour. */
 struct RouteOptions
 {
     /** Strategy selection (`--router=ctr|sabre`). */
     RouterKind router = RouterKind::Ctr;
-
-    /**
-     * Ablation variant of ctr: instead of walking the control all the
-     * way to the target's neighborhood (the paper's CTR), walk control
-     * and target toward each other and meet in the middle. Same
-     * legality, different SWAP counts.
-     */
-    bool meetInMiddle = false;
 
     /**
      * Fidelity-aware path selection: when the device carries
@@ -86,22 +78,6 @@ struct RouteOptions
     bool fidelityAware = false;
 
     /**
-     * Dynamic-layout ctr (extension): SWAPs persist instead of being
-     * undone after every CNOT; a permutation-repair epilogue restores
-     * the original assignment at the end so the overall unitary is
-     * unchanged. Usually far fewer SWAPs on reroute-heavy circuits.
-     * Ignored by sabre, which is always dynamic-layout.
-     */
-    bool dynamicLayout = false;
-
-    /**
-     * Sabre: how many not-yet-ready CNOTs beyond the frontier join
-     * the SWAP score, each attenuated geometrically by its distance
-     * from the frontier (the "decayed extended-lookahead window").
-     */
-    size_t sabreWindow = 20;
-
-    /**
      * TEST ONLY — omit the swap-back half of every CTR reroute. The
      * output stays legal on the device but its unitary is wrong, which
      * is exactly what the qfuzz oracle stack must catch and shrink.
@@ -111,34 +87,14 @@ struct RouteOptions
     bool testOmitSwapBack = false;
 };
 
-/** One routing strategy. Implementations are stateless; `route` may
- *  be called concurrently. */
-class Router
-{
-  public:
-    virtual ~Router() = default;
-
-    /** The strategy's stable name (== routerName of its kind). */
-    virtual const char *name() const = 0;
-
-    /**
-     * Legalize a primitive-level circuit (single-qubit gates, CNOTs,
-     * measures, barriers) for `device`. Wires are physical qubits.
-     * Throws MappingError when the circuit is wider than the device
-     * or endpoints are disconnected.
-     */
-    virtual Circuit route(const Circuit &circuit, const Device &device,
-                          RouteStats *stats,
-                          const RouteOptions &options) const = 0;
-};
-
-/** The registered strategy for `kind` (static lifetime). */
-const Router &routerFor(RouterKind kind);
-
 /**
- * Route `circuit` with the strategy selected by `options.router`,
- * with the shared width check, the `route.circuit` span, and the
- * `route.*` metrics flush wrapped around the backend.
+ * Legalize a primitive-level circuit (single-qubit gates, CNOTs,
+ * measures, barriers) for `device` with the strategy selected by
+ * `options.router`. Wires are physical qubits. Wraps the shared width
+ * check, the `route.circuit` span, and the `route.*` metrics flush
+ * around the backend. Throws MappingError when the circuit is wider
+ * than the device or endpoints are disconnected. Stateless; may be
+ * called concurrently.
  */
 Circuit routeCircuit(const Circuit &circuit, const Device &device,
                      RouteStats *stats = nullptr,
@@ -146,29 +102,10 @@ Circuit routeCircuit(const Circuit &circuit, const Device &device,
 
 namespace detail {
 
-/** Rebuild one gate with every wire sent through `layout`
- *  (layout[v] = physical qubit currently holding wire v). Mirrors
- *  Circuit::remapped gate-by-gate, without the temporary circuit. */
-Gate remapGate(const Gate &gate, const std::vector<Qubit> &layout);
-
 /** Account for one CNOT realized against the coupling direction
  *  (appendReversedCnot): owns the full bookkeeping — the reversal
  *  counter and its four Hadamards. */
 void countReversal(RouteStats *stats);
-
-/**
- * Permutation-repair epilogue shared by the dynamic-layout routers:
- * emit SWAPs restoring the identity layout (`inv[p] == p` for every
- * physical p). Each misplaced wire is fixed with a there-and-back SWAP
- * chain along a shortest path — a transposition of the endpoints that
- * leaves every intermediate wire untouched, so positions repaired
- * earlier stay repaired on any topology (a one-way chain would drag
- * wires through already-fixed positions on grids). Updates pos/inv,
- * bumps swapsInserted/restoreSwaps, and returns the SWAP count.
- */
-size_t restoreIdentityLayout(Circuit &out, const CouplingMap &map,
-                             std::vector<Qubit> &pos,
-                             std::vector<Qubit> &inv, RouteStats *stats);
 
 } // namespace detail
 

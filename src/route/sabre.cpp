@@ -27,6 +27,10 @@ constexpr double kExtWeight = 0.5;
  *  past the frontier barely steer the current SWAP. */
 constexpr double kExtDecay = 0.9;
 
+/** How many not-yet-ready CNOTs beyond the frontier join the SWAP
+ *  score (the decayed extended-lookahead window). */
+constexpr size_t kWindow = 20;
+
 /** Forced-reroute safety valve: after this many heuristic SWAPs with
  *  no gate executed, fall back to a shortest-path reroute of the
  *  first frontier CNOT (guarantees termination on any connected
@@ -89,6 +93,72 @@ allPairsDistances(const Device &device, bool fidelity_aware)
         }
     }
     return dist;
+}
+
+/** Rebuild one gate with every wire sent through `layout`
+ *  (layout[v] = physical qubit currently holding wire v). Mirrors
+ *  Circuit::remapped gate-by-gate, without the temporary circuit. */
+Gate
+remapGate(const Gate &gate, const std::vector<Qubit> &layout)
+{
+    if (gate.kind() == GateKind::Measure)
+        return Gate::measure(layout[gate.target()], gate.cbit());
+    std::vector<Qubit> controls;
+    controls.reserve(gate.numControls());
+    for (Qubit c : gate.controls())
+        controls.push_back(layout[c]);
+    std::vector<Qubit> targets;
+    targets.reserve(gate.targets().size());
+    for (Qubit t : gate.targets())
+        targets.push_back(layout[t]);
+    return Gate(gate.kind(), std::move(controls), std::move(targets),
+                gate.param());
+}
+
+/**
+ * Permutation-repair epilogue: emit SWAPs restoring the identity
+ * layout (`inv[p] == p` for every physical p). Each misplaced wire is
+ * fixed with a there-and-back SWAP chain along a shortest path — a
+ * transposition of the endpoints that leaves every intermediate wire
+ * untouched, so positions repaired earlier stay repaired on any
+ * topology (a one-way chain would drag wires through already-fixed
+ * positions on grids). Updates pos/inv, bumps
+ * swapsInserted/restoreSwaps, and returns the SWAP count.
+ */
+size_t
+restoreIdentityLayout(Circuit &out, const CouplingMap &map,
+                      std::vector<Qubit> &pos, std::vector<Qubit> &inv,
+                      RouteStats *stats)
+{
+    Qubit n = static_cast<Qubit>(pos.size());
+    size_t restore_swaps = 0;
+    auto apply_swap = [&](Qubit pa, Qubit pb) {
+        decompose::appendSwap(out, &map, pa, pb);
+        ++restore_swaps;
+        Qubit va = inv[pa], vb = inv[pb];
+        std::swap(inv[pa], inv[pb]);
+        pos[va] = pb;
+        pos[vb] = pa;
+    };
+    for (Qubit p = 0; p < n; ++p) {
+        if (inv[p] == p)
+            continue;
+        std::vector<Qubit> path = map.shortestPath(pos[p], p);
+        QSYN_ASSERT(path.size() >= 2, "broken repair path");
+        // There-and-back chain: transposes the endpoint wires and
+        // leaves every intermediate wire where it was, so positions
+        // already repaired cannot be dragged out of place again.
+        for (size_t i = 0; i + 1 < path.size(); ++i)
+            apply_swap(path[i], path[i + 1]);
+        for (size_t i = path.size() - 2; i-- > 0;)
+            apply_swap(path[i], path[i + 1]);
+        QSYN_ASSERT(inv[p] == p, "repair transposition missed");
+    }
+    if (stats != nullptr) {
+        stats->swapsInserted += restore_swaps;
+        stats->restoreSwaps += restore_swaps;
+    }
+    return restore_swaps;
 }
 
 } // namespace
@@ -174,7 +244,7 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
             if (g.kind() == GateKind::Barrier || g.numQubits() != 1)
                 out.add(g);
             else
-                out.add(detail::remapGate(g, pos));
+                out.add(remapGate(g, pos));
             return;
         }
         Qubit pc = pos[g.controls()[0]];
@@ -275,26 +345,24 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
         // Decayed extended window: the next CNOTs behind the frontier
         // in dependency order, discovered by BFS over successors.
         std::vector<size_t> window;
-        if (options.sabreWindow > 0) {
-            std::vector<char> seen(total, 0);
-            std::deque<size_t> bfs;
-            for (size_t gi : ready) {
-                seen[gi] = 1;
-                bfs.push_back(gi);
-            }
-            while (!bfs.empty() && window.size() < options.sabreWindow) {
-                size_t gi = bfs.front();
-                bfs.pop_front();
-                for (size_t s : dag.succs(gi)) {
-                    if (seen[s])
-                        continue;
-                    seen[s] = 1;
-                    bfs.push_back(s);
-                    if (circuit[s].isCnot()) {
-                        window.push_back(s);
-                        if (window.size() == options.sabreWindow)
-                            break;
-                    }
+        std::vector<char> seen(total, 0);
+        std::deque<size_t> bfs;
+        for (size_t gi : ready) {
+            seen[gi] = 1;
+            bfs.push_back(gi);
+        }
+        while (!bfs.empty() && window.size() < kWindow) {
+            size_t gi = bfs.front();
+            bfs.pop_front();
+            for (size_t s : dag.succs(gi)) {
+                if (seen[s])
+                    continue;
+                seen[s] = 1;
+                bfs.push_back(s);
+                if (circuit[s].isCnot()) {
+                    window.push_back(s);
+                    if (window.size() == kWindow)
+                        break;
                 }
             }
         }
@@ -324,13 +392,13 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
     }
 
     // Epilogue: restore the identity layout so the routed unitary
-    // equals the swap-back routers' exactly.
+    // equals CTR's exactly.
     size_t restore_swaps =
-        detail::restoreIdentityLayout(out, map, pos, inv, stats);
+        restoreIdentityLayout(out, map, pos, inv, stats);
 
     span.arg("gates_in", circuit.size());
     span.arg("gates_out", out.size());
-    span.arg("window", options.sabreWindow);
+    span.arg("window", kWindow);
     span.arg("forced_reroutes", forced_reroutes);
     span.arg("restore_swaps", restore_swaps);
     if (obs::Sink *s = obs::sink()) {

@@ -16,8 +16,8 @@
  *
  * With calibration data and `fidelityAware`, hop-count distances are
  * replaced by accumulated two-qubit-error weights, so SWAP choices
- * prefer high-fidelity edges — the same weighting CTR's Dijkstra
- * variant uses.
+ * prefer high-fidelity edges — the same weighting CTR's
+ * fidelity-aware path search uses.
  */
 
 #pragma once
@@ -27,8 +27,8 @@
 namespace qsyn::route {
 
 /**
- * The lookahead backend. Called by the dispatcher in router.cpp after
- * the width check; use `routeCircuit` with
+ * The lookahead backend. Called by `routeCircuit` after the width
+ * check; use `routeCircuit` with
  * `options.router = RouterKind::Sabre` instead unless you
  * specifically want to bypass strategy selection.
  */

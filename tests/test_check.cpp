@@ -166,8 +166,8 @@ TEST(Shrink, MinimizesFaultyCaseToSingleCnot)
 
     Device dev = makeIbmqx4();
     CompileOptions opts = faultyOptions();
-    // Noise the shrinker must strip. (Not meetInMiddle: that routes
-    // through a different code path and would mask the CTR fault.)
+    // Noise the shrinker must strip. (Not the sabre router: it has no
+    // swap-back and would mask the CTR fault.)
     opts.optimizer.enablePhasePolynomial = true;
     ASSERT_TRUE(runCase(input, dev, opts).failed());
 
@@ -207,7 +207,7 @@ TEST(Corpus, FlagsRoundTripThroughTheCliGrammar)
     CompileOptions opts;
     opts.placement = route::PlacementStrategy::Greedy;
     opts.mcxStrategy = decompose::McxStrategy::DirtyVChain;
-    opts.routing.meetInMiddle = true;
+    opts.routing.fidelityAware = true;
     opts.routing.testOmitSwapBack = true;
     opts.optimize = false;
     opts.optimizeTechIndependent = false;
@@ -218,7 +218,7 @@ TEST(Corpus, FlagsRoundTripThroughTheCliGrammar)
         compileOptionsFromFlags(compileOptionsToFlags(opts));
     EXPECT_EQ(back.placement, opts.placement);
     EXPECT_EQ(back.mcxStrategy, opts.mcxStrategy);
-    EXPECT_EQ(back.routing.meetInMiddle, opts.routing.meetInMiddle);
+    EXPECT_EQ(back.routing.fidelityAware, opts.routing.fidelityAware);
     EXPECT_EQ(back.routing.testOmitSwapBack,
               opts.routing.testOmitSwapBack);
     EXPECT_EQ(back.optimize, opts.optimize);

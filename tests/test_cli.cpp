@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cli/options.hpp"
@@ -78,7 +80,7 @@ TEST(CliParse, AllTheFlags)
 {
     CliOptions opts = parseCliArguments(
         {"-d", "ibmqx5", "-o", "out.qasm", "--placement", "greedy",
-         "--mcx", "dirty", "--meet-in-middle", "--weight-t", "2",
+         "--mcx", "dirty", "--no-ti-optimize", "--weight-t", "2",
          "--weight-cnot", "0.5", "--weight-gate", "3", "--no-verify",
          "--quiet", "in.real"});
     EXPECT_EQ(opts.deviceName, "ibmqx5");
@@ -86,7 +88,7 @@ TEST(CliParse, AllTheFlags)
     EXPECT_EQ(opts.compile.placement, route::PlacementStrategy::Greedy);
     EXPECT_EQ(opts.compile.mcxStrategy,
               decompose::McxStrategy::DirtyVChain);
-    EXPECT_TRUE(opts.compile.routing.meetInMiddle);
+    EXPECT_FALSE(opts.compile.optimizeTechIndependent);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.tWeight, 2.0);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.cnotWeight, 0.5);
     EXPECT_DOUBLE_EQ(opts.compile.optimizer.weights.gateWeight, 3.0);
@@ -416,6 +418,35 @@ TEST(CliParse, ObservabilityFlags)
                                        "info", "x.qasm"}));
 }
 
+TEST(CliParse, RemoteRejectsCompileFlagsTheRequestDoesNotCarry)
+{
+    const std::vector<std::vector<std::string>> dropped = {
+        {"--phase-poly"},        {"--mcx", "roots"},
+        {"--weight-t", "2"},     {"--weight-cnot", "2"},
+        {"--weight-gate", "2"},  {"--no-ti-optimize"},
+        {"--fidelity-aware"},    {"--test-omit-swap-back"},
+    };
+    for (const std::vector<std::string> &flag : dropped) {
+        std::vector<std::string> args = {"--remote", "d.sock"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        args.push_back("x.qasm");
+        try {
+            parseCliArguments(args);
+            ADD_FAILURE() << flag[0] << " was accepted with --remote";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          flag[0] + " is local-only"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Flags the request carries still combine with --remote.
+    EXPECT_NO_THROW(parseCliArguments(
+        {"--remote", "d.sock", "-d", "ibmqx5", "--no-optimize",
+         "--verify-miter", "--placement", "greedy", "--router", "sabre",
+         "--deadline", "5", "x.qasm"}));
+}
+
 TEST(CliRun, TraceAndMetricsJsonFiles)
 {
     std::string in_path = writeTemp(
@@ -459,6 +490,66 @@ TEST(CliRun, TraceAndMetricsJsonFiles)
     std::remove(in_path.c_str());
     std::remove(trace_path.c_str());
     std::remove(metrics_path.c_str());
+}
+
+TEST(CliRun, EveryEmittedMetricIsInTheCatalog)
+{
+    // A ctr compile, a sabre --analyze compile, and a two-worker batch
+    // through the compile cache: together they reach every layer that
+    // publishes metrics from qsync.
+    namespace fs = std::filesystem;
+    const std::string metrics_path =
+        ::testing::TempDir() + "cli_catalog_metrics.json";
+    const std::string cache_dir =
+        ::testing::TempDir() + "cli_catalog_cache";
+    fs::remove_all(cache_dir);
+    const std::vector<std::vector<std::string>> runs = {
+        {"-d", "ibmqx5", sample("adder.pla")},
+        {"-d", "ibmqx5", "--router", "sabre", "--analyze",
+         sample("mod5_cascade.real")},
+        {"-d", "ibmqx5", "--jobs", "2", "--cache-dir", cache_dir,
+         sample("toffoli.qasm"), sample("adder.pla"),
+         sample("clifford_t.qc")},
+    };
+    std::set<std::string> emitted;
+    for (std::vector<std::string> args : runs) {
+        args.insert(args.end(), {"--metrics-json", metrics_path,
+                                 "--no-emit", "--quiet"});
+        std::ostringstream out, err;
+        ASSERT_EQ(runCli(parseCliArguments(args), out, err), 0)
+            << err.str();
+        std::ifstream in(metrics_path);
+        std::stringstream text;
+        text << in.rdbuf();
+        service::Json snapshot;
+        std::string error;
+        ASSERT_TRUE(service::parseJson(text.str(), &snapshot, &error))
+            << error;
+        for (const char *kind : {"counters", "gauges", "histograms"}) {
+            for (const auto &entry : snapshot.object[kind].object)
+                emitted.insert(entry.first);
+        }
+    }
+    std::remove(metrics_path.c_str());
+    fs::remove_all(cache_dir);
+
+    // Guard against a vacuous pass: each run's own layer showed up.
+    for (const char *name :
+         {"route.swaps_inserted", "route.sabre.lookahead_swaps",
+          "analysis.findings", "batch.speedup", "cache.misses",
+          "qmdd.unique_rehashes", "compile.latency_us"})
+        EXPECT_EQ(emitted.count(name), 1u) << name;
+
+    std::ifstream doc_in(std::string(QSYN_DOCS_DIR) +
+                         "/observability.md");
+    ASSERT_TRUE(doc_in.good());
+    std::stringstream doc;
+    doc << doc_in.rdbuf();
+    for (const std::string &name : emitted) {
+        EXPECT_NE(doc.str().find("`" + name + "`"), std::string::npos)
+            << name << " is emitted but missing from "
+            << "docs/observability.md";
+    }
 }
 
 TEST(CliRun, DebugLogLevelPrintsPassBreakdown)

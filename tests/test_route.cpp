@@ -128,21 +128,6 @@ TEST(Ctr, RandomCircuitsStayEquivalentOnEveryIbmDevice)
     }
 }
 
-TEST(Ctr, MeetInMiddleVariantAlsoLegalAndEquivalent)
-{
-    Device dev = makeIbmqx3();
-    Circuit c(16);
-    c.addCnot(5, 10);
-    c.addCnot(0, 9);
-    RouteOptions opts;
-    opts.meetInMiddle = true;
-    RouteStats stats;
-    Circuit routed = routeCircuit(c, dev, &stats, opts);
-    expectLegal(routed, dev);
-    EXPECT_TRUE(sameUnitary(c, routed));
-    EXPECT_EQ(stats.reroutedCnots, 2u);
-}
-
 TEST(Ctr, SimulatorNeedsNoRouting)
 {
     Device dev = Device::simulator(8);
@@ -190,49 +175,6 @@ TEST(Ctr, ExactCountersOnReversedReroute)
     EXPECT_EQ(stats.swapsInserted, 2u); // 1 out + 1 back
     EXPECT_EQ(stats.reversedCnots, 1u); // the far-end reversal
     EXPECT_EQ(stats.hInserted, 4u);
-    expectLegal(routed, dev);
-    EXPECT_TRUE(sameUnitary(c, routed));
-}
-
-TEST(Ctr, ExactCountersOnReversedRerouteDynamicLayout)
-{
-    // Same far-end reversal under the persistent-swap variant.
-    Device dev = makeInwardV();
-    Circuit c(3);
-    c.addCnot(0, 2);
-    RouteOptions opts;
-    opts.dynamicLayout = true;
-    RouteStats stats;
-    Circuit routed = routeCircuit(c, dev, &stats, opts);
-    EXPECT_EQ(stats.reroutedCnots, 1u);
-    EXPECT_EQ(stats.reversedCnots, 1u);
-    EXPECT_EQ(stats.hInserted, 4u);
-    EXPECT_EQ(stats.swapsInserted, 2u); // 1 out + 1 restore
-    EXPECT_EQ(stats.restoreSwaps, 1u);
-    expectLegal(routed, dev);
-    EXPECT_TRUE(sameUnitary(c, routed));
-}
-
-TEST(Ctr, ExactCountersOnMeetInMiddleReversedLanding)
-{
-    // Directed chain 2 -> 1 -> 0. CNOT(0, 2) meet-in-middle: path
-    // [0, 1, 2], the control stays at q0, the target walks q2 -> q1
-    // (one SWAP each way), and the meeting CNOT q0 -> q1 runs against
-    // the native 1 -> 0 direction, so it must reverse — and count.
-    CouplingMap map(3);
-    map.addEdge(1, 0);
-    map.addEdge(2, 1);
-    Device dev("chain_down", 3, map);
-    Circuit c(3);
-    c.addCnot(0, 2);
-    RouteOptions opts;
-    opts.meetInMiddle = true;
-    RouteStats stats;
-    Circuit routed = routeCircuit(c, dev, &stats, opts);
-    EXPECT_EQ(stats.reroutedCnots, 1u);
-    EXPECT_EQ(stats.reversedCnots, 1u);
-    EXPECT_EQ(stats.hInserted, 4u);
-    EXPECT_EQ(stats.swapsInserted, 2u);
     expectLegal(routed, dev);
     EXPECT_TRUE(sameUnitary(c, routed));
 }
@@ -294,44 +236,18 @@ TEST(Placement, ApplyPlacementRemapsWires)
     EXPECT_EQ(placed[0].target(), 11u);
 }
 
-TEST(DynamicRouting, LegalEquivalentAndFewerSwapsOnHeavyWorkloads)
-{
-    Device dev = makeIbmqx3();
-    Rng rng(19);
-    Circuit c(10, "heavy");
-    for (int i = 0; i < 25; ++i) {
-        Qubit a = static_cast<Qubit>(rng.below(10));
-        Qubit b = static_cast<Qubit>(rng.below(10));
-        if (a != b)
-            c.addCnot(a, b);
-    }
-
-    RouteStats ctr_stats;
-    Circuit ctr = routeCircuit(c, dev, &ctr_stats);
-
-    RouteOptions dyn_opts;
-    dyn_opts.dynamicLayout = true;
-    RouteStats dyn_stats;
-    Circuit dyn = routeCircuit(c, dev, &dyn_stats, dyn_opts);
-
-    expectLegal(dyn, dev);
-    EXPECT_TRUE(sameUnitary(c, dyn));
-    // Persistent swaps + one repair epilogue beat per-gate swap-back.
-    EXPECT_LT(dyn_stats.swapsInserted, ctr_stats.swapsInserted);
-}
-
 TEST(DynamicRouting, SingleQubitGatesFollowTheLayout)
 {
-    // A CNOT reroute moves wires; a later T on a moved wire must land
-    // on the wire's *current* physical home, and the epilogue must
-    // still restore the overall unitary.
+    // Sabre's SWAPs move wires; a later T on a moved wire must land
+    // on the wire's *current* physical home, and the restore epilogue
+    // must still give back the overall unitary.
     Device dev = makeIbmqx3();
     Circuit c(16, "follow");
     c.addCnot(5, 10); // forces swaps through q12/q11
     c.addT(5);
     c.addH(12);
     RouteOptions opts;
-    opts.dynamicLayout = true;
+    opts.router = RouterKind::Sabre;
     Circuit routed = routeCircuit(c, dev, nullptr, opts);
     expectLegal(routed, dev);
     EXPECT_TRUE(sameUnitary(c, routed));
@@ -344,7 +260,7 @@ TEST(DynamicRouting, MeasurementsFollowTheLayout)
     c.addCnot(0, 4); // needs rerouting on qx4
     c.add(Gate::measure(0, 0));
     RouteOptions opts;
-    opts.dynamicLayout = true;
+    opts.router = RouterKind::Sabre;
     Circuit routed = routeCircuit(c, dev, nullptr, opts);
     size_t measures = 0;
     for (const Gate &g : routed) {
@@ -359,7 +275,7 @@ TEST(DynamicRouting, WideCircuitWithManySingleQubitGates)
     // The 96-qubit machine with thousands of single-qubit gates: the
     // case the per-gate remap used to make quadratic. Every 1q gate
     // must land on its wire's current physical home and survive the
-    // reroutes around it.
+    // SWAPs around it.
     Device dev = makeProposed96();
     Rng rng(77);
     Circuit c(96, "wide");
@@ -377,7 +293,7 @@ TEST(DynamicRouting, WideCircuitWithManySingleQubitGates)
             c.addCnot(a, b);
     }
     RouteOptions opts;
-    opts.dynamicLayout = true;
+    opts.router = RouterKind::Sabre;
     RouteStats stats;
     Circuit routed = routeCircuit(c, dev, &stats, opts);
     expectLegal(routed, dev);
@@ -507,22 +423,6 @@ TEST(Sabre, DisconnectedQubitsThrow)
     EXPECT_THROW(routeCircuit(c, dev, nullptr, opts), MappingError);
 }
 
-TEST(Sabre, ZeroWindowStillRoutesCorrectly)
-{
-    // A degenerate lookahead window (frontier-only scoring) must not
-    // change correctness, only SWAP quality.
-    Device dev = builtinDevice("line_16");
-    Circuit c = seededCnotHeavy(5, 8, 30);
-    Circuit placed = applyPlacement(c, greedyPlacement(c, dev), dev);
-    Circuit by_ctr = routeCircuit(placed, dev, nullptr, {});
-    RouteOptions opts;
-    opts.router = RouterKind::Sabre;
-    opts.sabreWindow = 0;
-    Circuit by_sabre = routeCircuit(placed, dev, nullptr, opts);
-    expectLegal(by_sabre, dev);
-    EXPECT_TRUE(sameUnitary(by_ctr, by_sabre));
-}
-
 TEST(Router, NamesRoundTrip)
 {
     EXPECT_STREQ(routerName(RouterKind::Ctr), "ctr");
@@ -534,6 +434,10 @@ TEST(Router, NamesRoundTrip)
     EXPECT_EQ(kind, RouterKind::Ctr);
     EXPECT_FALSE(parseRouterName("astar", &kind));
     EXPECT_EQ(kind, RouterKind::Ctr); // untouched on failure
-    EXPECT_STREQ(routerFor(RouterKind::Sabre).name(), "sabre");
-    EXPECT_STREQ(routerFor(RouterKind::Ctr).name(), "ctr");
+    for (RouterKind each : {RouterKind::Ctr, RouterKind::Sabre}) {
+        RouterKind back = each == RouterKind::Ctr ? RouterKind::Sabre
+                                                  : RouterKind::Ctr;
+        EXPECT_TRUE(parseRouterName(routerName(each), &back));
+        EXPECT_EQ(back, each);
+    }
 }

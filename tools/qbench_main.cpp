@@ -3,10 +3,12 @@
  * qbench: the benchmark regression harness. Runs a small canonical
  * suite over the performance-critical paths (QMDD construction,
  * equivalence checking, unique-table growth, compute-cache pressure,
- * end-to-end compilation, and parallel batch compilation) and emits a
- * machine-readable JSON report — by convention committed as
- * BENCH_qsyn.json at the repo root — so perf regressions show up as
- * diffs rather than anecdotes.
+ * end-to-end compilation with and without tracing, observability
+ * overhead per span/counter, QASM parsing, the optimizer pipeline,
+ * statevector simulation, routing, and parallel batch compilation)
+ * and emits a machine-readable JSON report — by convention committed
+ * as BENCH_qsyn.json at the repo root — so perf regressions show up
+ * as diffs rather than anecdotes.
  *
  * Self-timed (median wall time over --reps runs) on purpose: no
  * google-benchmark dependency, so it builds in every configuration and
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +39,7 @@
 #include "core/qsyn.hpp"
 #include "device/registry.hpp"
 #include "ir/random_circuit.hpp"
+#include "obs/obs.hpp"
 #include "route/placement.hpp"
 #include "route/router.hpp"
 #include "service/client.hpp"
@@ -70,6 +74,15 @@ makeRandom(int qubits, int gates, std::uint64_t seed = 7,
     opts.numGates = static_cast<size_t>(gates);
     opts.maxControls = max_controls;
     return randomCircuit(rng, opts);
+}
+
+/** Keep `value` (and the work producing it) alive across the
+ *  optimizer without emitting any instruction. */
+template <typename T>
+void
+doNotOptimize(const T &value)
+{
+    asm volatile("" : : "r,m"(value) : "memory");
 }
 
 double
@@ -227,7 +240,7 @@ main(int argc, char **argv)
         results.push_back(r);
     };
 
-    // --- QMDD circuit construction (the BM_QmddBuildCircuit suite) ---
+    // --- QMDD circuit construction ---
     for (int q = 4; q <= top_qubits; q += 2) {
         Circuit c = makeRandom(q, 120);
         note(timeIt("qmdd_build_" + std::to_string(q), reps, [&]() {
@@ -297,7 +310,7 @@ main(int argc, char **argv)
         c.addCcx(0, 1, 2);
         c.addCcx(2, 3, 4);
         c.addCcx(0, 2, 4);
-        note(timeIt("end_to_end_compile", reps, [&]() {
+        BenchResult plain = timeIt("end_to_end_compile", reps, [&]() {
             Compiler compiler(dev);
             CompileResult r = compiler.compile(c);
             analysis::DagMetrics dm = analysis::computeDagMetrics(
@@ -311,6 +324,116 @@ main(int argc, char **argv)
                 {"verified",
                  r.verifyRan() && dd::isEquivalent(r.verification) ? 1.0
                                                                  : 0.0},
+            };
+        });
+        note(plain);
+
+        // The same compile with a trace sink installed: the gap is the
+        // total observability cost when tracing is on.
+        BenchResult traced =
+            timeIt("end_to_end_compile_traced", reps, [&]() {
+                obs::ScopedSink sink;
+                Compiler compiler(dev);
+                compiler.compile(c);
+                return std::vector<std::pair<std::string, double>>{
+                    {"trace_events",
+                     static_cast<double>(sink->events().size())},
+                };
+            });
+        traced.metrics.emplace_back(
+            "overhead_pct",
+            plain.medianMs > 0.0 ? 100.0 *
+                                       (traced.medianMs - plain.medianMs) /
+                                       plain.medianMs
+                                 : 0.0);
+        note(traced);
+    }
+
+    // --- One span / one counter bump, sink off vs on: the off rows
+    // pin the "one relaxed load and a branch" guarantee ---
+    {
+        const size_t ops = smoke ? 100000 : 1000000;
+        auto per_op = [&](const std::string &name, bool sink_on,
+                          auto &&op) {
+            BenchResult r = timeIt(name, reps, [&]() {
+                std::optional<obs::ScopedSink> sink;
+                if (sink_on)
+                    sink.emplace();
+                for (size_t i = 0; i < ops; ++i) {
+                    op();
+                    // Bound the event buffer without paying a clear
+                    // per span.
+                    if (sink && i % 1024 == 1023)
+                        (*sink)->clearEvents();
+                }
+                return std::vector<std::pair<std::string, double>>{};
+            });
+            r.metrics = {
+                {"ops", static_cast<double>(ops)},
+                {"ns_per_op",
+                 r.medianMs * 1e6 / static_cast<double>(ops)},
+            };
+            note(r);
+        };
+        auto span_op = [] {
+            obs::Span span("bench.noop", "bench");
+            doNotOptimize(&span);
+        };
+        auto counter_op = [] {
+            if (obs::Sink *s = obs::sink())
+                s->metrics().addCounter("bench.counter", 1.0);
+            doNotOptimize(obs::sink());
+        };
+        per_op("obs_span_off", false, span_op);
+        per_op("obs_span_on", true, span_op);
+        per_op("obs_counter_off", false, counter_op);
+        per_op("obs_counter_on", true, counter_op);
+    }
+
+    // --- QASM parse throughput ---
+    {
+        std::string qasm =
+            frontend::writeQasm(makeRandom(8, smoke ? 200 : 1000));
+        BenchResult r = timeIt("qasm_parse", reps, [&]() {
+            Circuit c = frontend::parseQasm(qasm);
+            return std::vector<std::pair<std::string, double>>{
+                {"gates", static_cast<double>(c.size())},
+            };
+        });
+        r.metrics.emplace_back("bytes", static_cast<double>(qasm.size()));
+        r.metrics.emplace_back(
+            "mb_per_s", r.medianMs > 0.0
+                            ? static_cast<double>(qasm.size()) / 1e3 /
+                                  r.medianMs
+                            : 0.0);
+        note(r);
+    }
+
+    // --- Optimizer pipeline on a routed circuit ---
+    {
+        Device dev = makeIbmqx5();
+        Circuit routed = route::routeCircuit(
+            makeRandom(8, smoke ? 50 : 200, 7, 1), dev);
+        note(timeIt("optimizer_pipeline", reps, [&]() {
+            opt::OptimizerOptions opts;
+            opts.device = &dev;
+            Circuit out = opt::optimizeCircuit(routed, opts);
+            return std::vector<std::pair<std::string, double>>{
+                {"gates_in", static_cast<double>(routed.size())},
+                {"gates_out", static_cast<double>(out.size())},
+            };
+        }));
+    }
+
+    // --- Dense statevector simulation ---
+    {
+        const Qubit q = smoke ? 10 : 14;
+        Circuit c = makeRandom(static_cast<int>(q), 100);
+        note(timeIt("statevector_" + std::to_string(q), reps, [&]() {
+            sim::StateVector sv(q);
+            sv.apply(c);
+            return std::vector<std::pair<std::string, double>>{
+                {"norm_squared", sv.normSquared()},
             };
         }));
     }
