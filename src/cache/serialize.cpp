@@ -274,6 +274,8 @@ encodeCachedCompile(const CachedCompile &artifact)
 
     w.u8(static_cast<std::uint8_t>(res.verification));
     w.u8(static_cast<std::uint8_t>(res.verifyMode));
+    w.u8(static_cast<std::uint8_t>(res.miter.schedule));
+    w.u64(res.miter.closingSwaps);
 
     w.f64(res.decomposeSeconds);
     w.f64(res.placeSeconds);
@@ -366,9 +368,14 @@ decodeCachedCompile(const std::vector<std::uint8_t> &bytes)
         malformed("bad verification verdict");
     res.verification = static_cast<dd::Equivalence>(verdict);
     std::uint8_t mode = r.u8();
-    if (mode > static_cast<std::uint8_t>(VerifyMode::Miter))
+    if (mode > static_cast<std::uint8_t>(VerifyMode::Full))
         malformed("bad verify mode");
     res.verifyMode = static_cast<VerifyMode>(mode);
+    std::uint8_t schedule = r.u8();
+    if (schedule > static_cast<std::uint8_t>(dd::MiterSchedule::Hint))
+        malformed("bad miter schedule");
+    res.miter.schedule = static_cast<dd::MiterSchedule>(schedule);
+    res.miter.closingSwaps = r.u64();
 
     res.decomposeSeconds = r.f64();
     res.placeSeconds = r.f64();

@@ -89,6 +89,7 @@ checkQmddEquivalence(const CompileResult &result, const Device &device,
     dd::EquivalenceOptions eopts;
     eopts.ancillaWires = result.ancillas;
     eopts.nodeBudget = opts.qmddNodeBudget;
+    eopts.swapHint = result.routeStats.swapLog;
     dd::Equivalence verdict =
         checker.check(reference, result.optimized, eopts);
     if (verdict == dd::Equivalence::Inconclusive) {

@@ -112,8 +112,6 @@ parseCliArguments(const std::vector<std::string> &args)
             opts.compile.optimizeTechIndependent = false;
         } else if (arg == "--no-verify") {
             opts.compile.verify = VerifyMode::Off;
-        } else if (arg == "--verify-miter") {
-            opts.compile.verify = VerifyMode::Miter;
         } else if (arg == "--placement") {
             std::string value = next_value(arg);
             if (value == "identity")
@@ -302,7 +300,6 @@ cliHelpText()
         "      --no-ti-optimize     skip the technology-independent\n"
         "                           optimization round\n"
         "      --no-verify          skip QMDD verification\n"
-        "      --verify-miter       alternating-miter verification\n"
         "      --draw               ASCII-draw input and output\n"
         "      --schedule           print depth, parallelism, widest\n"
         "                           layer and idle wire-layers\n"
@@ -496,18 +493,6 @@ emittedCircuit(const CliOptions &options, const Circuit &compiled)
     return compiled;
 }
 
-/** --verify-miter cannot project ancillas; say so when the full check
- *  ran in its place. */
-void
-noteMiterFallback(const CliOptions &options, const std::string &inputPath,
-                  const CompileResult &result, std::ostream &err)
-{
-    if (options.compile.verify == VerifyMode::Miter &&
-        result.verifyMode == VerifyMode::Full)
-        err << "note: " << inputPath
-            << " has ancillas; --verify-miter ran the full check\n";
-}
-
 /** Batch mode: one Compiler per input on a worker pool, results
  *  reported and emitted strictly in input order. */
 int
@@ -524,10 +509,6 @@ runBatch(const CliOptions &options, const Device &device,
     std::vector<BatchItem> items =
         batch.compileFiles(options.inputs, options.jobs);
     const BatchSummary &sum = batch.summary();
-    for (const BatchItem &item : items) {
-        if (item.ok)
-            noteMiterFallback(options, item.inputPath, item.result, err);
-    }
     if (options.printStats) {
         err << "device:            " << device.summary() << "\n";
         for (const BatchItem &item : items) {
@@ -604,8 +585,6 @@ runSingle(const CliOptions &options, const Device &device,
         // has real content to assert on.
         std::abort();
     }
-    noteMiterFallback(options, inputPath, result, err);
-
     if (obs::logEnabled(obs::LogLevel::Debug) &&
         !result.optReport.passes.empty()) {
         err << "optimizer passes (" << result.optReport.rounds

@@ -45,8 +45,6 @@ verifyModeName(VerifyMode mode)
     switch (mode) {
       case VerifyMode::Off:
         return "off";
-      case VerifyMode::Miter:
-        return "miter";
       case VerifyMode::Full:
         break;
     }
@@ -193,14 +191,15 @@ Compiler::compile(const Circuit &input) const
             eopts.upToGlobalPhase = options_.verifyUpToGlobalPhase;
             eopts.ancillaWires = result.ancillas;
             eopts.nodeBudget = options_.verifyNodeBudget;
-            eopts.useMiter = options_.verify == VerifyMode::Miter;
+            // Sabre's moving layout, replayed by the reference.
+            eopts.swapHint = result.routeStats.swapLog;
             dd::PackageStats before;
             if (shared)
                 before = package->threadStats();
             result.verification =
                 checker.check(reference, result.optimized, eopts);
-            result.verifyMode = dd::runsMiter(eopts) ? VerifyMode::Miter
-                                                     : VerifyMode::Full;
+            result.verifyMode = VerifyMode::Full;
+            result.miter = checker.lastStats();
             result.ddStats =
                 shared ? diffStats(package->threadStats(), before)
                        : package->stats();

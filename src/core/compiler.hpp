@@ -7,7 +7,7 @@
  * Pipeline: decompose (Barenco MCX networks + 15-gate Toffoli) ->
  * place -> CTR route (direction fixes + shortest-SWAP-path reroutes) ->
  * cost-driven local optimization -> QMDD equivalence check against the
- * input.
+ * input, aligned on the origins decomposition stamps on every gate.
  */
 
 #pragma once
@@ -34,14 +34,14 @@ class CompileCacheBase;
 /** Verification behavior of the compiler. */
 enum class VerifyMode
 {
-    Off,    ///< skip formal verification
-    Full,   ///< QMDD check with the configured node budget
-    Miter   ///< alternating-miter variant (no-ancilla circuits only;
-            ///< see dd::runsMiter)
+    Off,         ///< skip formal verification
+    Full,        ///< QMDD miter check with the configured node budget
+    /** Alias of Full, kept only because perfbench/harness.cpp, which
+     *  must build unchanged, names it. */
+    Miter = Full
 };
 
-/** "off", "full" or "miter": the name the report and the qsynd
- *  protocol use. */
+/** "off" or "full": the name the report and the qsynd protocol use. */
 const char *verifyModeName(VerifyMode mode);
 
 /** Everything configurable about one compilation. */
@@ -119,9 +119,10 @@ struct CompileResult
 
     dd::Equivalence verification = dd::Equivalence::Inconclusive;
     /** The check that ran: Off when none did (disabled, or the input
-     *  measures), Full when a requested miter could not run because
-     *  the circuit has ancillas. */
+     *  measures). */
     VerifyMode verifyMode = VerifyMode::Off;
+    /** How the verification miter ran (schedule, closing SWAPs). */
+    dd::MiterStats miter;
 
     double decomposeSeconds = 0.0;
     double placeSeconds = 0.0;

@@ -77,6 +77,14 @@ compileReportJson(const CompileResult &result, const Device &device,
                               : "skipped")
        << "\",\n  \"verify_mode\": \"" << verifyModeName(result.verifyMode)
        << "\"";
+    if (result.verifyRan()) {
+        // Peak nodes and GC runs are in the "qmdd" block: against a
+        // shared package they are not a function of this compile.
+        os << ",\n  \"miter\": {\"schedule\": \""
+           << dd::miterScheduleName(result.miter.schedule)
+           << "\", \"closing_swaps\": " << result.miter.closingSwaps
+           << "}";
+    }
     if (options.analysis != nullptr) {
         const analysis::Diagnostics &a = *options.analysis;
         const analysis::DagMetrics &m = a.metrics;

@@ -89,7 +89,12 @@ decomposeToPrimitives(const Circuit &input, const DecomposeOptions &options)
                 "qubit cap smaller than the input register");
 
     AncillaAllocator allocator(input.numQubits(), options);
-    Circuit current = input;
+    // Every output gate carries the index of the input gate it lowers.
+    Circuit current(input.numQubits(), input.name());
+    for (size_t i = 0; i < input.size(); ++i) {
+        current.add(input[i]);
+        current.setOrigins(i, static_cast<Origin>(i));
+    }
 
     // Stage 1: iterate one-level lowerings to a fixed point. Every
     // rewrite strictly reduces control counts / exotic kinds, so the
@@ -107,6 +112,7 @@ decomposeToPrimitives(const Circuit &input, const DecomposeOptions &options)
                 next.add(g);
                 continue;
             }
+            const size_t first = next.size();
             if (g.kind() == GateKind::Swap) {
                 Qubit a = g.targets()[0];
                 Qubit b = g.targets()[1];
@@ -122,6 +128,7 @@ decomposeToPrimitives(const Circuit &input, const DecomposeOptions &options)
                     next.add(Gate::mcx(cs, b));
                     next.addCnot(b, a);
                 }
+                next.setOrigins(first, g.origin());
                 continue;
             }
             if (g.kind() == GateKind::X) {
@@ -135,9 +142,11 @@ decomposeToPrimitives(const Circuit &input, const DecomposeOptions &options)
                     allocator.poolFor(next, g.qubits(), want_clean);
                 appendMcx(next, g.controls(), g.target(), pool,
                           options.mcxStrategy);
+                next.setOrigins(first, g.origin());
                 continue;
             }
             appendControlledUnitary(next, g);
+            next.setOrigins(first, g.origin());
         }
         current = std::move(next);
     }
@@ -147,8 +156,10 @@ decomposeToPrimitives(const Circuit &input, const DecomposeOptions &options)
         Circuit lowered(current.numQubits(), current.name());
         for (const Gate &g : current) {
             if (g.isToffoli()) {
+                const size_t first = lowered.size();
                 appendToffoli(lowered, g.controls()[0], g.controls()[1],
                               g.target());
+                lowered.setOrigins(first, g.origin());
             } else {
                 lowered.add(g);
             }

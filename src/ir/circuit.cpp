@@ -30,6 +30,8 @@ Circuit::add(Gate gate)
     }
     if (gate.kind() == GateKind::Measure)
         num_cbits_ = std::max(num_cbits_, gate.cbit() + 1);
+    if (!gate.hasOrigin() && !gates_.empty())
+        gate.setOrigin(gates_.back().origin());
     gates_.push_back(std::move(gate));
 }
 
@@ -48,6 +50,8 @@ Circuit::replace(size_t i, Gate gate)
     QSYN_ASSERT(i < gates_.size(), "replace index out of range");
     for (Qubit q : gate.qubits())
         QSYN_ASSERT(q < num_qubits_, "gate wire outside register");
+    if (!gate.hasOrigin())
+        gate.setOrigin(gates_[i].origin());
     gates_[i] = std::move(gate);
 }
 
@@ -88,8 +92,26 @@ Circuit::insert(size_t i, Gate gate)
     QSYN_ASSERT(i <= gates_.size(), "insert index out of range");
     for (Qubit q : gate.qubits())
         QSYN_ASSERT(q < num_qubits_, "gate wire outside register");
+    if (!gate.hasOrigin() && !gates_.empty())
+        gate.setOrigin(gates_[i > 0 ? i - 1 : 0].origin());
     gates_.insert(gates_.begin() + static_cast<ptrdiff_t>(i),
                   std::move(gate));
+}
+
+void
+Circuit::setOrigins(size_t first, Origin origin)
+{
+    if (origin == kNoOrigin)
+        return;
+    for (size_t i = first; i < gates_.size(); ++i)
+        gates_[i].setOrigin(origin);
+}
+
+bool
+Circuit::hasOrigins() const
+{
+    return std::any_of(gates_.begin(), gates_.end(),
+                       [](const Gate &g) { return g.hasOrigin(); });
 }
 
 Circuit
@@ -135,6 +157,7 @@ Circuit::remapped(const std::vector<Qubit> &map, Qubit new_num_qubits) const
                     g.param());
         if (g.kind() == GateKind::Measure)
             mapped = Gate::measure(map[g.target()], g.cbit());
+        mapped.setOrigin(g.origin());
         out.add(std::move(mapped));
     }
     return out;
@@ -164,6 +187,21 @@ Circuit::toString() const
     for (const Gate &g : gates_)
         os << "  " << g.toString() << "\n";
     return os.str();
+}
+
+std::vector<Origin>
+effectiveOrigins(const Circuit &circuit)
+{
+    if (!circuit.hasOrigins())
+        return {};
+    std::vector<Origin> origins(circuit.size());
+    Origin last = 0;
+    for (size_t i = 0; i < circuit.size(); ++i) {
+        if (circuit[i].hasOrigin())
+            last = circuit[i].origin();
+        origins[i] = last;
+    }
+    return origins;
 }
 
 CircuitStats

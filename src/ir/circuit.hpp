@@ -41,7 +41,12 @@ class Circuit
     std::vector<Gate>::const_iterator begin() const { return gates_.begin(); }
     std::vector<Gate>::const_iterator end() const { return gates_.end(); }
 
-    /** Append a gate; all its wires must be inside the register. */
+    /**
+     * Append a gate; all its wires must be inside the register. A gate
+     * without an origin inherits the origin of the gate before it, so
+     * passes that create gates keep the output aligned with its
+     * specification without tracking provenance themselves.
+     */
     void add(Gate gate);
 
     /** @name Convenience emitters mirroring Gate's named constructors. */
@@ -67,7 +72,8 @@ class Circuit
     /** Append every gate of `other` (registers must be compatible). */
     void append(const Circuit &other);
 
-    /** Replace the gate at index `i`. */
+    /** Replace the gate at index `i` (an origin-less replacement
+     *  keeps the replaced gate's origin). */
     void replace(size_t i, Gate gate);
 
     /** Erase the gate at index `i`. */
@@ -76,8 +82,16 @@ class Circuit
     /** Erase gates at the given (sorted ascending, unique) indices. */
     void eraseMany(const std::vector<size_t> &indices);
 
-    /** Insert a gate before index `i`. */
+    /** Insert a gate before index `i` (an origin-less gate inherits
+     *  from its predecessor, or at the front from its successor). */
     void insert(size_t i, Gate gate);
+
+    /** Set the origin of every gate from index `first` to the end; a
+     *  no-op for kNoOrigin. */
+    void setOrigins(size_t first, Origin origin);
+
+    /** True when at least one gate carries an origin. */
+    bool hasOrigins() const;
 
     /** The adjoint circuit: reversed order, each gate inverted. */
     Circuit inverse() const;
@@ -91,6 +105,7 @@ class Circuit
     /**
      * Remap every wire through `map` (old -> new); the result lives on
      * `new_num_qubits` wires. Every image must be < new_num_qubits.
+     * Origins are kept.
      */
     Circuit remapped(const std::vector<Qubit> &map,
                      Qubit new_num_qubits) const;
@@ -115,6 +130,22 @@ class Circuit
     Cbit num_cbits_ = 0;
     std::string name_;
     std::vector<Gate> gates_;
+};
+
+/**
+ * Each gate's origin, where a gate without one takes its predecessor's
+ * and a leading run without one takes 0 (the rule Circuit::add applies
+ * as gates are appended). Empty when no gate carries an origin.
+ */
+std::vector<Origin> effectiveOrigins(const Circuit &circuit);
+
+/** A SWAP a router inserted on physical wires `a` and `b`, keyed by
+ *  the origin of the gate it was inserted for. */
+struct OriginSwap
+{
+    Origin origin = kNoOrigin;
+    Qubit a = kNoQubit;
+    Qubit b = kNoQubit;
 };
 
 /** Gate-count statistics used by Eqn. 2 and the result tables. */

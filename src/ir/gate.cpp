@@ -76,9 +76,11 @@ Gate
 Gate::inverse() const
 {
     QSYN_ASSERT(kind_ != GateKind::Measure, "measurement has no inverse");
-    if (isParameterized(kind_))
-        return Gate(kind_, controls_, targets_, -param_);
-    return Gate(inverseKind(kind_), controls_, targets_, param_);
+    Gate inv = isParameterized(kind_)
+                   ? Gate(kind_, controls_, targets_, -param_)
+                   : Gate(inverseKind(kind_), controls_, targets_, param_);
+    inv.origin_ = origin_;
+    return inv;
 }
 
 bool

@@ -25,6 +25,17 @@
 
 namespace qsyn {
 
+/**
+ * Provenance of a compiled gate: the index of the specification gate
+ * it was lowered from. The verifier aligns its miter on it (see
+ * qmdd/equivalence.hpp); nothing else reads it, so it takes no part in
+ * equality, hashing, caching or serialization.
+ */
+using Origin = std::uint32_t;
+
+/** Sentinel for "no known specification gate". */
+inline constexpr Origin kNoOrigin = static_cast<Origin>(-1);
+
 /** One gate instance: base kind + controls + targets (+ angle). */
 class Gate
 {
@@ -85,6 +96,11 @@ class Gate
     Qubit target() const { return targets_.front(); }
     Cbit cbit() const { return cbit_; }
 
+    /** Provenance (kNoOrigin when unknown); see Origin. */
+    Origin origin() const { return origin_; }
+    bool hasOrigin() const { return origin_ != kNoOrigin; }
+    void setOrigin(Origin origin) { origin_ = origin; }
+
     size_t numControls() const { return controls_.size(); }
     size_t numQubits() const { return controls_.size() + targets_.size(); }
 
@@ -122,12 +138,13 @@ class Gate
         return kind_ == GateKind::X && controls_.size() >= 3;
     }
 
-    /** The inverse gate (adjoint). Invalid for Measure. */
+    /** The inverse gate (adjoint), same origin. Invalid for Measure. */
     Gate inverse() const;
 
     /**
      * Exact structural equality: same kind, same control set (order-
-     * insensitive), same target list, same angle within kEps.
+     * insensitive), same target list, same angle within kEps. The
+     * origin is ignored.
      */
     bool operator==(const Gate &other) const;
     bool operator!=(const Gate &other) const { return !(*this == other); }
@@ -160,6 +177,7 @@ class Gate
     std::vector<Qubit> targets_;
     double param_ = 0.0;
     Cbit cbit_ = 0;
+    Origin origin_ = kNoOrigin;
 };
 
 } // namespace qsyn

@@ -1,21 +1,38 @@
 /**
  * @file
  * QMDD-based formal equivalence checking (the paper's built-in
- * verification step): the technology-independent input circuit and the
- * technology-dependent compiled output must represent the same unitary,
- * which for canonical QMDDs means they share the same root edge.
+ * verification step): the compiled output must implement its
+ * specification.
  *
- * Extensions beyond the paper's direct comparison:
- *  - ancilla-aware checking: the mapped circuit may use extra device
- *    wires as clean ancillas; we verify U_mapped . P == (U_orig x I) . P
- *    where P projects those wires onto |0> ("acts identically whenever
- *    ancillas start clean, and returns them clean");
- *  - projected construction for scalability: when ancillas are present
- *    the projector is applied *first* and gates accumulate onto it, so
- *    intermediate DDs stay close to the reachable subspace;
- *  - an alternating-miter mode that accumulates U_b . U_a^dagger
- *    gate-by-gate, keeping the intermediate DD near the identity;
- *  - a node budget that yields Inconclusive instead of thrashing.
+ * One algorithm, the alternating miter of Burgholzer & Wille
+ * ("Advanced Equivalence Checking for Quantum Circuits", TCAD 2021),
+ * made ancilla-aware. Starting from the clean-ancilla projector `P`
+ * (the identity when there are no ancillas), it accumulates
+ *
+ *     M = U_out . P . R^dagger
+ *
+ * gate by gate, output gates multiplied on the left and reference
+ * gates (inverted) on the right, and the circuits are equivalent iff
+ * `M = P` up to global phase, i.e. `U_out . P = P . U_spec`. When the
+ * specification keeps the ancilla wires clean (a compile's reference
+ * never touches them) it commutes with `P`, so this is exactly
+ * `U_out . P = U_spec . P`: the output acts like the specification
+ * whenever the ancillas start clean, and returns them clean. A
+ * specification that leaves an ancilla wire dirty is never matched.
+ * Keeping `M` near `P` throughout keeps the DD small; the two sides
+ * advance
+ *  - by provenance when the output carries origins (Gate::origin) and
+ *    the specification does not: reference gate i, then every output
+ *    gate with origin <= i;
+ *  - proportionally to their gate counts otherwise.
+ *
+ * A router's SWAP list (EquivalenceOptions::swapHint) makes the
+ * reference follow the output's moving layout: `R` is the
+ * specification relabelled through a running permutation pi, each
+ * hinted SWAP applied before its origin gate, closed by a SWAP network
+ * that returns pi to the identity. `R`'s product is `U_spec` whatever
+ * the hint says, so a wrong hint costs time, never the verdict. A node
+ * budget yields Inconclusive instead of thrashing.
  */
 
 #pragma once
@@ -59,25 +76,46 @@ struct EquivalenceOptions
     std::vector<Qubit> ancillaWires;
     /** Abort with Inconclusive past this many live nodes (0 = off). */
     size_t nodeBudget = 0;
-    /** Use the alternating-miter scheme (no-ancilla case only; see
-     *  runsMiter). */
+    /** Ignored: every check runs the miter. Kept only because
+     *  perfbench/harness.cpp, which must build unchanged, sets it. */
     bool useMiter = false;
     /** Tolerance for the EquivalentApprox fallback verdict. */
     double approxEps = 1e-6;
     /**
-     * Before the full matrix comparison, push this many random basis
-     * states (ancilla wires held at |0>) through both circuits with
-     * the vector engine and refute on the first mismatch. A cheap
-     * counterexample short-circuits the expensive canonical build;
-     * agreement proves nothing and the full check still runs.
+     * Before the miter, push this many random basis states (ancilla
+     * wires held at |0>) through both circuits with the vector engine
+     * and refute on the first mismatch. A cheap counterexample
+     * short-circuits the expensive check; agreement proves nothing and
+     * the miter still runs.
      */
     size_t quickRefuteSamples = 0;
+    /**
+     * SWAPs the router inserted on the second circuit, keyed by origin
+     * (route::RouteStats::swapLog): the layout hint the reference
+     * follows. Affects only the check's cost, never its verdict.
+     */
+    std::vector<OriginSwap> swapHint;
 };
 
-/** True when EquivalenceChecker::check runs the alternating miter:
- *  it was requested and there are no ancilla wires, which the miter
- *  cannot project onto |0>. Otherwise the full check runs. */
-bool runsMiter(const EquivalenceOptions &opts);
+/** How the miter advanced its two sides. */
+enum class MiterSchedule
+{
+    Proportional, ///< by gate-count fraction (no usable origins)
+    Provenance,   ///< by the output's origins
+    Hint          ///< by origins, the reference following a SWAP hint
+};
+
+/** "proportional", "provenance" or "hint". */
+const char *miterScheduleName(MiterSchedule schedule);
+
+/** What one check did (EquivalenceChecker::lastStats). */
+struct MiterStats
+{
+    MiterSchedule schedule = MiterSchedule::Proportional;
+    /** SWAPs in the network that returns the reference's layout to
+     *  the identity; 0 when the hint was exact or absent. */
+    size_t closingSwaps = 0;
+};
 
 /** QMDD equivalence checker bound to a package. */
 class EquivalenceChecker
@@ -86,25 +124,22 @@ class EquivalenceChecker
     explicit EquivalenceChecker(Package &pkg) : pkg_(pkg) {}
 
     /**
-     * Compare two unitary circuits. The narrower circuit is implicitly
-     * padded with identity wires up to the wider register.
+     * Check that `b` (the output) implements `a` (the specification).
+     * The narrower circuit is implicitly padded with identity wires up
+     * to the wider register.
      */
     Equivalence check(const Circuit &a, const Circuit &b,
                       const EquivalenceOptions &opts = {});
 
-  private:
-    /** Left-multiply every gate of `circuit` onto `start`. Returns
-     *  false (leaving *out untouched) when the budget is exceeded. */
-    bool buildOnto(const Circuit &circuit, Edge start, size_t budget,
-                   Edge *out, const std::vector<Edge> &extra_roots);
+    /** Figures of the last check() that reached the miter. */
+    const MiterStats &lastStats() const { return stats_; }
 
+  private:
     Equivalence compareEdges(const Edge &a, const Edge &b,
                              const EquivalenceOptions &opts);
 
-    Equivalence checkMiter(const Circuit &a, const Circuit &b,
-                           const EquivalenceOptions &opts);
-
     Package &pkg_;
+    MiterStats stats_;
 };
 
 } // namespace qsyn::dd

@@ -78,6 +78,37 @@ routeCnotCtr(Circuit &out, const Device &device, Qubit control,
         stats->swapsInserted += path.size() - 1;
 }
 
+/** Legalize one gate of the input onto `out`. */
+void
+routeGateCtr(Circuit &out, const Device &device, const Gate &g,
+             RouteStats *stats, const RouteOptions &options)
+{
+    const CouplingMap &map = device.coupling();
+    if (!g.isCnot()) {
+        QSYN_ASSERT(g.numQubits() <= 1 ||
+                        g.kind() == GateKind::Barrier,
+                    "routing expects a primitive-level circuit, got " +
+                        g.toString());
+        out.add(g);
+        return;
+    }
+    Qubit control = g.controls()[0];
+    Qubit target = g.target();
+    if (device.isFullyConnected() || map.hasEdge(control, target)) {
+        out.addCnot(control, target);
+        if (stats)
+            ++stats->nativeCnots;
+        return;
+    }
+    if (map.hasUndirectedEdge(control, target)) {
+        decompose::appendReversedCnot(out, control, target);
+        countReversal(stats);
+        return;
+    }
+    routeCnotCtr(out, device, control, target, stats,
+                 options.fidelityAware, options.testOmitSwapBack);
+}
+
 } // namespace
 
 Circuit
@@ -85,32 +116,11 @@ routeCtr(const Circuit &circuit, const Device &device, RouteStats *stats,
          const RouteOptions &options)
 {
     Circuit out(device.numQubits(), circuit.name());
-    const CouplingMap &map = device.coupling();
-
     for (const Gate &g : circuit) {
-        if (!g.isCnot()) {
-            QSYN_ASSERT(g.numQubits() <= 1 ||
-                            g.kind() == GateKind::Barrier,
-                        "routing expects a primitive-level circuit, got " +
-                            g.toString());
-            out.add(g);
-            continue;
-        }
-        Qubit control = g.controls()[0];
-        Qubit target = g.target();
-        if (device.isFullyConnected() || map.hasEdge(control, target)) {
-            out.addCnot(control, target);
-            if (stats)
-                ++stats->nativeCnots;
-            continue;
-        }
-        if (map.hasUndirectedEdge(control, target)) {
-            decompose::appendReversedCnot(out, control, target);
-            countReversal(stats);
-            continue;
-        }
-        routeCnotCtr(out, device, control, target, stats,
-                     options.fidelityAware, options.testOmitSwapBack);
+        // SWAP chains and reversal Hadamards belong to this gate.
+        const size_t first = out.size();
+        routeGateCtr(out, device, g, stats, options);
+        out.setOrigins(first, g.origin());
     }
     return out;
 }

@@ -15,12 +15,15 @@
  *    layout so the unitary matches `ctr` exactly.
  *
  * Both interpret circuit wires as physical qubits (apply a placement
- * first) and emit only native-direction CNOTs.
+ * first) and emit only native-direction CNOTs. Every gate a router
+ * emits, SWAPs and direction-fix Hadamards included, takes the origin
+ * of the input gate it serves.
  */
 
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "device/device.hpp"
 #include "ir/circuit.hpp"
@@ -59,6 +62,13 @@ struct RouteStats
     /** SWAPs spent restoring the identity layout in the epilogue
      *  (subset of swapsInserted; 0 under ctr). */
     size_t restoreSwaps = 0;
+    /**
+     * Every SWAP sabre inserted, in emission order, keyed by the origin
+     * of the gate it was inserted for (epilogue SWAPs: one past the
+     * last origin). The verifier replays it as a layout hint (see
+     * dd::EquivalenceOptions::swapHint). Empty under ctr.
+     */
+    std::vector<OriginSwap> swapLog;
 };
 
 /** Routing options: the strategy plus knobs that both strategies

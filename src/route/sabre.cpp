@@ -116,29 +116,25 @@ remapGate(const Gate &gate, const std::vector<Qubit> &layout)
 }
 
 /**
- * Permutation-repair epilogue: emit SWAPs restoring the identity
- * layout (`inv[p] == p` for every physical p). Each misplaced wire is
- * fixed with a there-and-back SWAP chain along a shortest path — a
+ * Permutation-repair epilogue: restore the identity layout
+ * (`inv[p] == p` for every physical p) through `apply_swap`, which
+ * emits one SWAP and updates the layout. Each misplaced wire is fixed
+ * with a there-and-back SWAP chain along a shortest path — a
  * transposition of the endpoints that leaves every intermediate wire
  * untouched, so positions repaired earlier stay repaired on any
  * topology (a one-way chain would drag wires through already-fixed
- * positions on grids). Updates pos/inv, bumps
- * swapsInserted/restoreSwaps, and returns the SWAP count.
+ * positions on grids). Returns the SWAP count.
  */
+template <typename ApplySwap>
 size_t
-restoreIdentityLayout(Circuit &out, const CouplingMap &map,
-                      std::vector<Qubit> &pos, std::vector<Qubit> &inv,
-                      RouteStats *stats)
+restoreIdentityLayout(const CouplingMap &map, const std::vector<Qubit> &pos,
+                      const std::vector<Qubit> &inv, ApplySwap apply_swap)
 {
     Qubit n = static_cast<Qubit>(pos.size());
     size_t restore_swaps = 0;
-    auto apply_swap = [&](Qubit pa, Qubit pb) {
-        decompose::appendSwap(out, &map, pa, pb);
+    auto swap_once = [&](Qubit pa, Qubit pb) {
+        apply_swap(pa, pb);
         ++restore_swaps;
-        Qubit va = inv[pa], vb = inv[pb];
-        std::swap(inv[pa], inv[pb]);
-        pos[va] = pb;
-        pos[vb] = pa;
     };
     for (Qubit p = 0; p < n; ++p) {
         if (inv[p] == p)
@@ -149,14 +145,10 @@ restoreIdentityLayout(Circuit &out, const CouplingMap &map,
         // leaves every intermediate wire where it was, so positions
         // already repaired cannot be dragged out of place again.
         for (size_t i = 0; i + 1 < path.size(); ++i)
-            apply_swap(path[i], path[i + 1]);
+            swap_once(path[i], path[i + 1]);
         for (size_t i = path.size() - 2; i-- > 0;)
-            apply_swap(path[i], path[i + 1]);
+            swap_once(path[i], path[i + 1]);
         QSYN_ASSERT(inv[p] == p, "repair transposition missed");
-    }
-    if (stats != nullptr) {
-        stats->swapsInserted += restore_swaps;
-        stats->restoreSwaps += restore_swaps;
     }
     return restore_swaps;
 }
@@ -212,8 +204,25 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
     // candidates so the score cannot oscillate on one edge.
     std::pair<Qubit, Qubit> last_swap{kNoQubit, kNoQubit};
 
+    // Provenance: a SWAP belongs to the gate it was inserted for, the
+    // next one executed, so its log entry and its output gates wait in
+    // [pending_log, ...) / [pending_gates, ...) until `settle`.
+    const std::vector<Origin> origins = effectiveOrigins(circuit);
+    std::vector<OriginSwap> local_log;
+    std::vector<OriginSwap> &log = stats ? stats->swapLog : local_log;
+    size_t pending_log = log.size();
+    size_t pending_gates = 0;
+    auto settle = [&](Origin origin) {
+        for (size_t i = pending_log; i < log.size(); ++i)
+            log[i].origin = origin;
+        out.setOrigins(pending_gates, origin);
+        pending_log = log.size();
+        pending_gates = out.size();
+    };
+
     auto apply_swap = [&](Qubit pa, Qubit pb) {
         decompose::appendSwap(out, &map, pa, pb);
+        log.push_back({kNoOrigin, pa, pb});
         if (stats)
             ++stats->swapsInserted;
         Qubit va = inv[pa], vb = inv[pb];
@@ -261,6 +270,7 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
 
     auto execute = [&](size_t gi) {
         emit(circuit[gi]);
+        settle(origins.empty() ? kNoOrigin : origins[gi]);
         ready.erase(gi);
         for (size_t s : dag.succs(gi)) {
             if (--indeg[s] == 0)
@@ -392,9 +402,15 @@ routeSabre(const Circuit &circuit, const Device &device, RouteStats *stats,
     }
 
     // Epilogue: restore the identity layout so the routed unitary
-    // equals CTR's exactly.
+    // equals CTR's exactly. Its SWAPs follow every routed gate, so
+    // their origin is one past the last.
     size_t restore_swaps =
-        restoreIdentityLayout(out, map, pos, inv, stats);
+        restoreIdentityLayout(map, pos, inv, apply_swap);
+    if (stats != nullptr)
+        stats->restoreSwaps += restore_swaps;
+    settle(origins.empty()
+               ? kNoOrigin
+               : *std::max_element(origins.begin(), origins.end()) + 1);
 
     span.arg("gates_in", circuit.size());
     span.arg("gates_out", out.size());

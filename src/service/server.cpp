@@ -553,12 +553,12 @@ Server::handleCompile(const Json &request)
     options.optimizer.collectPassStats = true;
     options.optimize = request.boolOr("optimize", true);
     std::string verify = toLower(request.stringOr("verify", "full"));
-    if (verify == "full")
+    // "miter" predates the single miter check; it stays a synonym of
+    // "full" so existing clients keep working.
+    if (verify == "full" || verify == "miter")
         options.verify = VerifyMode::Full;
     else if (verify == "off")
         options.verify = VerifyMode::Off;
-    else if (verify == "miter")
-        options.verify = VerifyMode::Miter;
     else
         throw ServiceError{ErrorCode::BadRequest,
                            "unknown verify mode '" + verify +

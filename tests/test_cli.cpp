@@ -360,28 +360,42 @@ TEST(CliRun, ReportMeasuresCostDeltaOfEveryEffectivePass)
 
 TEST(CliRun, ReportNamesTheVerifyModeThatRan)
 {
-    // mod5_cascade compiles with an ancilla, which the miter cannot
-    // project: the full check runs, and stderr and the report say so.
+    // mod5_cascade compiles with an ancilla: the one miter check
+    // projects it, aligned on origins, and prints no fallback note.
     std::string err;
-    service::Json fallback =
-        compileReport({"-d", "ibmqx5", "--verify-miter", "--quiet"},
+    service::Json ancilla =
+        compileReport({"-d", "ibmqx5", "--quiet"},
                       sample("mod5_cascade.real"), &err);
-    EXPECT_EQ(fallback.stringOr("verify_mode", ""), "full");
-    EXPECT_NE(err.find("--verify-miter ran the full check"),
-              std::string::npos)
-        << err;
+    ASSERT_NE(ancilla.find("ancillas"), nullptr);
+    EXPECT_FALSE(ancilla.find("ancillas")->array.empty());
+    EXPECT_EQ(ancilla.stringOr("verify_mode", ""), "full");
+    EXPECT_EQ(ancilla.stringOr("verification", ""), "equivalent");
+    const service::Json *miter = ancilla.find("miter");
+    ASSERT_NE(miter, nullptr);
+    EXPECT_EQ(miter->stringOr("schedule", ""), "provenance");
+    EXPECT_EQ(miter->numberOr("closing_swaps", -1.0), 0.0);
+    EXPECT_EQ(err.find("note:"), std::string::npos) << err;
 
-    service::Json miter =
-        compileReport({"-d", "ibmqx5", "--verify-miter", "--quiet"},
-                      sample("toffoli.qasm"), &err);
-    EXPECT_EQ(miter.stringOr("verify_mode", ""), "miter");
-    EXPECT_EQ(miter.stringOr("verification", ""), "equivalent");
-    EXPECT_EQ(err.find("full check"), std::string::npos) << err;
+    // Sabre hands the checker its SWAP list; the hint is exact, so no
+    // closing SWAP is needed.
+    service::Json hinted =
+        compileReport({"-d", "ibmqx5", "--router", "sabre", "--quiet"},
+                      sample("mod5_cascade.real"), &err);
+    EXPECT_EQ(hinted.stringOr("verification", ""), "equivalent");
+    miter = hinted.find("miter");
+    ASSERT_NE(miter, nullptr);
+    EXPECT_EQ(miter->stringOr("schedule", ""), "hint");
+    EXPECT_EQ(miter->numberOr("closing_swaps", -1.0), 0.0);
 
     service::Json off = compileReport({"-d", "ibmqx5", "--no-verify"},
                                       sample("toffoli.qasm"), &err);
     EXPECT_EQ(off.stringOr("verify_mode", ""), "off");
     EXPECT_EQ(off.stringOr("verification", ""), "skipped");
+    EXPECT_EQ(off.find("miter"), nullptr);
+
+    // The miter is the only check; its old opt-in flag is gone.
+    EXPECT_THROW(parseCliArguments({"--verify-miter", "x.qasm"}),
+                 UserError);
 }
 
 TEST(CliRun, FidelityAndPhasePolyFlagsParse)
@@ -443,7 +457,7 @@ TEST(CliParse, RemoteRejectsCompileFlagsTheRequestDoesNotCarry)
     // Flags the request carries still combine with --remote.
     EXPECT_NO_THROW(parseCliArguments(
         {"--remote", "d.sock", "-d", "ibmqx5", "--no-optimize",
-         "--verify-miter", "--placement", "greedy", "--router", "sabre",
+         "--placement", "greedy", "--router", "sabre",
          "--deadline", "5", "x.qasm"}));
 }
 

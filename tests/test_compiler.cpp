@@ -164,18 +164,34 @@ TEST(Compiler, VerifyOffSkipsChecking)
     EXPECT_FALSE(res.verifyRan());
 }
 
-TEST(Compiler, MiterModeVerifies)
+TEST(Compiler, EveryGateCarriesTheOriginOfItsInputGate)
 {
     Device dev = makeIbmqx2();
-    CompileOptions opts;
-    opts.verify = VerifyMode::Miter;
-    Compiler compiler(dev, opts);
-    Circuit c(3, "miter");
+    Compiler compiler(dev);
+    Circuit c(3, "origins");
     c.addH(0);
     c.addCnot(0, 2);
+    c.addCcx(0, 1, 2);
     c.addCnot(1, 0);
     CompileResult res = compiler.compile(c);
     EXPECT_TRUE(res.verified());
+    EXPECT_EQ(res.verifyMode, VerifyMode::Full);
+    EXPECT_EQ(res.miter.schedule, dd::MiterSchedule::Provenance);
+    for (const Circuit *stage : {&res.decomposed, &res.mapped}) {
+        Origin last = 0;
+        for (const Gate &g : *stage) {
+            ASSERT_TRUE(g.hasOrigin()) << g.toString();
+            EXPECT_LT(g.origin(), c.size());
+            // ctr routes in program order: origins never decrease.
+            EXPECT_GE(g.origin(), last) << g.toString();
+            last = g.origin();
+        }
+    }
+    // The Toffoli's 15-gate network is all origin 2.
+    size_t from_toffoli = 0;
+    for (const Gate &g : res.decomposed)
+        from_toffoli += g.origin() == 2;
+    EXPECT_GE(from_toffoli, 15u);
 }
 
 TEST(Compiler, MeasurementsPassThroughAndSkipVerification)

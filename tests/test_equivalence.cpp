@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for the QMDD equivalence checker: direct canonical
- * comparison, global phase, ancilla projection, the alternating miter,
- * node budgets, and cross-validation against the simulator.
+ * Unit tests for the QMDD equivalence checker: verdicts, global
+ * phase, ancilla projection, the miter's schedules and SWAP hint, node
+ * budgets, and cross-validation against the simulator.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numbers>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "core/compiler.hpp"
+#include "device/registry.hpp"
 #include "ir/random_circuit.hpp"
 #include "qmdd/equivalence.hpp"
 #include "sim/statevector.hpp"
@@ -127,7 +130,7 @@ TEST(Equivalence, AncillaProjection)
     EXPECT_EQ(checker.check(ref, impl), Equivalence::NotEquivalent);
 }
 
-TEST(Equivalence, MiterMode)
+TEST(Equivalence, OriginLessCircuitsUseTheProportionalSchedule)
 {
     dd::Package pkg;
     EquivalenceChecker checker(pkg);
@@ -140,13 +143,175 @@ TEST(Equivalence, MiterMode)
     b.addH(2);
     b.addH(2);
 
-    EquivalenceOptions opts;
-    opts.useMiter = true;
-    EXPECT_TRUE(dd::isEquivalent(checker.check(a, b, opts)));
-
+    EXPECT_TRUE(dd::isEquivalent(checker.check(a, b)));
+    EXPECT_EQ(checker.lastStats().schedule,
+              dd::MiterSchedule::Proportional);
     Circuit c = a;
     c.addT(1);
-    EXPECT_FALSE(dd::isEquivalent(checker.check(a, c, opts)));
+    EXPECT_FALSE(dd::isEquivalent(checker.check(a, c)));
+
+    // Origins on the output (and none on the specification) align the
+    // two sides by provenance; the verdicts stay the same.
+    Circuit b_origins = b;
+    for (size_t i = 0; i < a.size(); ++i)
+        b_origins.setOrigins(i, static_cast<Origin>(i));
+    EXPECT_TRUE(dd::isEquivalent(checker.check(a, b_origins)));
+    EXPECT_EQ(checker.lastStats().schedule,
+              dd::MiterSchedule::Provenance);
+    Circuit c_origins = c;
+    for (size_t i = 0; i < a.size(); ++i)
+        c_origins.setOrigins(i, static_cast<Origin>(i));
+    EXPECT_FALSE(dd::isEquivalent(checker.check(a, c_origins)));
+
+    // Two circuits that both carry origins share no gate indices: the
+    // check falls back to the proportional schedule.
+    EXPECT_TRUE(dd::isEquivalent(checker.check(b_origins, b_origins)));
+    EXPECT_EQ(checker.lastStats().schedule,
+              dd::MiterSchedule::Proportional);
+}
+
+namespace {
+
+/** The three ancilla faults on spec CNOT(0,1), wire 2 the ancilla. */
+std::vector<Circuit>
+ancillaFaults()
+{
+    std::vector<Circuit> faults;
+    Circuit dirty(3); // leaves the ancilla at |1>
+    dirty.addCnot(0, 1);
+    dirty.addX(2);
+    faults.push_back(dirty);
+    Circuit entangled(3); // ancilla ends holding a copy of wire 0
+    entangled.addCnot(0, 1);
+    entangled.addCnot(0, 2);
+    faults.push_back(entangled);
+    Circuit controlled(3); // the data result follows the ancilla input
+    controlled.addCnot(2, 1);
+    faults.push_back(controlled);
+    return faults;
+}
+
+} // namespace
+
+TEST(Equivalence, AncillaFaultsAreNotEquivalentUnderEitherSchedule)
+{
+    Circuit spec(2);
+    spec.addCnot(0, 1);
+    EquivalenceOptions opts;
+    opts.ancillaWires = {2};
+    dd::Package pkg;
+    EquivalenceChecker checker(pkg);
+    for (Circuit fault : ancillaFaults()) {
+        EXPECT_EQ(checker.check(spec, fault, opts),
+                  Equivalence::NotEquivalent)
+            << fault.toString();
+        fault.setOrigins(0, 0);
+        EXPECT_EQ(checker.check(spec, fault, opts),
+                  Equivalence::NotEquivalent)
+            << fault.toString();
+        EXPECT_EQ(checker.lastStats().schedule,
+                  dd::MiterSchedule::Provenance);
+    }
+    // The clean version: compute into the ancilla, use it, uncompute.
+    Circuit clean(3);
+    clean.addCnot(0, 2);
+    clean.addCnot(2, 1);
+    clean.addCnot(0, 2);
+    clean.setOrigins(0, 0);
+    EXPECT_EQ(checker.check(spec, clean, opts), Equivalence::Equivalent);
+
+    // Ancillas are required |0> before and after on both sides: a
+    // specification that dirties one is matched by nothing.
+    Circuit dirty_spec(3);
+    dirty_spec.addX(2);
+    EXPECT_EQ(checker.check(dirty_spec, dirty_spec, opts),
+              Equivalence::NotEquivalent);
+}
+
+namespace {
+
+/** Distant CNOTs and a 4-control MCX (clean ancillas) for ibmqx5. */
+Circuit
+routedWorkload()
+{
+    Circuit c(6, "routed");
+    c.addH(0);
+    c.addCnot(0, 5);
+    c.addMcx({0, 1, 2, 3}, 4);
+    c.addCnot(5, 1);
+    c.addT(3);
+    c.addCnot(2, 5);
+    c.addCcx(4, 0, 3);
+    c.addCnot(3, 0);
+    return c;
+}
+
+Equivalence
+recheck(const CompileResult &r, const Device &device,
+        std::vector<OriginSwap> hint, dd::MiterStats *stats = nullptr)
+{
+    dd::Package pkg;
+    EquivalenceChecker checker(pkg);
+    EquivalenceOptions opts;
+    opts.ancillaWires = r.ancillas;
+    opts.swapHint = std::move(hint);
+    Equivalence v =
+        checker.check(r.referenceOnDevice(device.numQubits()),
+                      r.optimized, opts);
+    if (stats != nullptr)
+        *stats = checker.lastStats();
+    return v;
+}
+
+} // namespace
+
+TEST(Equivalence, AncillaCompileVerifiesByProvenance)
+{
+    Device device = makeIbmqx5();
+    CompileResult r = Compiler(device).compile(routedWorkload());
+    ASSERT_FALSE(r.ancillas.empty());
+    EXPECT_TRUE(r.verified());
+    EXPECT_EQ(r.miter.schedule, dd::MiterSchedule::Provenance);
+    EXPECT_TRUE(r.optimized.hasOrigins());
+    EXPECT_EQ(recheck(r, device, {}), Equivalence::Equivalent);
+}
+
+TEST(Equivalence, AnySwapHintGivesTheSameVerdict)
+{
+    Device device = makeIbmqx5();
+    CompileOptions sabre;
+    sabre.routing.router = route::RouterKind::Sabre;
+    CompileResult r = Compiler(device, sabre).compile(routedWorkload());
+    const std::vector<OriginSwap> &exact = r.routeStats.swapLog;
+    ASSERT_GT(exact.size(), 2u);
+    EXPECT_TRUE(r.verified());
+    EXPECT_EQ(r.miter.schedule, dd::MiterSchedule::Hint);
+    EXPECT_EQ(r.miter.closingSwaps, 0u);
+
+    std::vector<OriginSwap> shuffled = exact;
+    Rng rng(7);
+    for (size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    std::vector<OriginSwap> extra = exact;
+    extra.insert(extra.begin() + static_cast<ptrdiff_t>(extra.size() / 2),
+                 OriginSwap{1, 0, 15});
+    const std::vector<std::vector<OriginSwap>> hints = {{}, shuffled,
+                                                        extra, exact};
+
+    dd::MiterStats stats;
+    EXPECT_EQ(recheck(r, device, extra, &stats), Equivalence::Equivalent);
+    EXPECT_GT(stats.closingSwaps, 0u); // the extra SWAP is undone
+
+    // The planted swap-back fault (ctr only) stays caught whatever
+    // hint the checker is handed.
+    CompileOptions faulty;
+    faulty.verify = VerifyMode::Off;
+    faulty.routing.testOmitSwapBack = true;
+    CompileResult bad = Compiler(device, faulty).compile(routedWorkload());
+    for (const std::vector<OriginSwap> &hint : hints) {
+        EXPECT_EQ(recheck(r, device, hint), Equivalence::Equivalent);
+        EXPECT_EQ(recheck(bad, device, hint), Equivalence::NotEquivalent);
+    }
 }
 
 TEST(Equivalence, NodeBudgetYieldsInconclusive)

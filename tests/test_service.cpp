@@ -89,6 +89,27 @@ hugeQasm(size_t layers)
     return os.str();
 }
 
+/** Table 7's T10_b cascade as a .real source: four 10-qubit Toffolis
+ *  whose compile on proposed_96 takes seconds, though the text parses
+ *  at once. */
+std::string
+wideCascadeReal()
+{
+    std::ostringstream os;
+    os << ".version 1.0\n.numvars 96\n.variables";
+    for (int i = 0; i < 96; ++i)
+        os << " x" << i;
+    os << "\n.begin\n";
+    for (int g = 0; g < 4; ++g) {
+        os << "t10";
+        for (int i = 1; i < 10; ++i)
+            os << " x" << 20 * g + i;
+        os << " x" << 20 * g + 25 << "\n";
+    }
+    os << ".end\n";
+    return os.str();
+}
+
 service::Json
 compileRequest(const std::string &source)
 {
@@ -275,6 +296,34 @@ TEST(ServiceE2E, SecondCompileHitsWarmCache)
     EXPECT_EQ(daemon.terminate(), 0);
 }
 
+TEST(ServiceE2E, VerifyMiterIsASynonymOfFull)
+{
+    Daemon daemon;
+    daemon.waitReady();
+    service::Client client =
+        service::Client::connectUnix(daemon.socket());
+
+    // "miter" first, so it compiles cold rather than reading the
+    // entry "full" stored.
+    service::Json miter_req = compileRequest(kSmallQasm);
+    miter_req.object["verify"] = service::Json::makeString("miter");
+    service::Json miter = client.call(miter_req);
+    ASSERT_TRUE(miter.boolOr("ok", false)) << errorCodeOf(miter);
+    EXPECT_TRUE(miter.boolOr("verified", false));
+
+    service::Json full_req = compileRequest(kSmallQasm);
+    full_req.object["verify"] = service::Json::makeString("full");
+    service::Json full = client.call(full_req);
+    ASSERT_TRUE(full.boolOr("ok", false)) << errorCodeOf(full);
+    EXPECT_EQ(miter.stringOr("qasm", "x"), full.stringOr("qasm", "y"));
+    EXPECT_EQ(miter.stringOr("report", "x"), full.stringOr("report", "y"));
+    EXPECT_NE(full.stringOr("report", "").find("\"verify_mode\": \"full\""),
+              std::string::npos)
+        << full.stringOr("report", "");
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
 TEST(ServiceE2E, RemoteReportByteIdenticalToLocal)
 {
     fs::path dir = scratchDir("byte-identical");
@@ -398,7 +447,7 @@ TEST(ServiceE2E, LimitViolationsAreStructuredAndNonFatal)
 
 TEST(ServiceE2E, DeadlineExpiresStructurally)
 {
-    // 2400 gates with full verification cannot finish in 20 ms; the
+    // 12000 gates with full verification cannot finish in 20 ms; the
     // cooperative poll must unwind it cleanly. The budget rides on the
     // request (deadline_ms) rather than the server so the follow-up
     // small compile is unconstrained — under slow sanitizer builds
@@ -408,7 +457,7 @@ TEST(ServiceE2E, DeadlineExpiresStructurally)
     service::Client client =
         service::Client::connectUnix(daemon.socket());
 
-    service::Json req = compileRequest(hugeQasm(800));
+    service::Json req = compileRequest(hugeQasm(4000));
     req.object["deadline_ms"] = service::Json::makeNumber(20.0);
     service::Json resp = client.call(req);
     EXPECT_FALSE(resp.boolOr("ok", true));
@@ -431,7 +480,11 @@ TEST(ServiceE2E, OverloadedWhenQueueFull)
         try {
             service::Client c =
                 service::Client::connectUnix(daemon.socket());
-            service::Json req = compileRequest(hugeQasm(800));
+            // Seconds of compile work, cut at 2 s. It must parse at
+            // once: parsing runs before the request takes the slot.
+            service::Json req = compileRequest(wideCascadeReal());
+            req.object["format"] = service::Json::makeString("real");
+            req.object["device"] = service::Json::makeString("proposed_96");
             req.object["deadline_ms"] =
                 service::Json::makeNumber(2000.0);
             c.call(req);
@@ -467,7 +520,7 @@ TEST(ServiceE2E, SigtermDrainsInFlightRequest)
         try {
             service::Client c =
                 service::Client::connectUnix(daemon.socket());
-            service::Json req = compileRequest(hugeQasm(250));
+            service::Json req = compileRequest(hugeQasm(4000));
             service::Json resp = c.call(req);
             gotResponse = true;
             responseOk = resp.boolOr("ok", false);

@@ -49,9 +49,6 @@ printHelp()
            "      --no-share-manager   private QMDD package per pair\n"
            "      --strict             require exact equality (no global\n"
            "                           phase slack)\n"
-           "      --miter              alternating-miter accumulation\n"
-           "                           (the full check runs when\n"
-           "                           --ancilla is given)\n"
            "      --ancilla <list>     comma-separated wires required |0>\n"
            "                           at input and output (clean\n"
            "                           ancillas)\n"
@@ -114,8 +111,6 @@ main(int argc, char **argv)
                 return 0;
             } else if (arg == "--strict") {
                 options.upToGlobalPhase = false;
-            } else if (arg == "--miter") {
-                options.useMiter = true;
             } else if (arg == "--ancilla") {
                 options.ancillaWires = parseAncillaList(next());
             } else if (arg == "--budget") {
@@ -143,10 +138,6 @@ main(int argc, char **argv)
                 "expected an even number of circuit files (>= 2)");
 
         cli::ObsSession session(obs_flags, "qverify-main");
-        if (options.useMiter && !dd::runsMiter(options))
-            std::cerr << "note: --miter cannot project --ancilla wires; "
-                         "running the full check\n";
-
         /** One consecutive file pair, checked on its own package. */
         struct PairOutcome
         {
